@@ -7,14 +7,15 @@
 //! re-shipping the summary cuts steady-state bytes by >= 5x at equal
 //! cadence, hence equal (or better) estimate staleness. The referee's
 //! incrementally-maintained live union is **bitwise identical** to
-//! decoding a fresh full ship at every ack point; the continuous engine
-//! checks that equivalence after every applied frame
+//! decoding a fresh full ship at every ack point; the sustained engine's
+//! delta-plane mode checks that equivalence after every applied frame
 //! (`oracle_checks` / `oracle_failures` below), so the perf claim never
 //! detaches from the exactness claim.
 //!
 //! Method: one sustained workload (fixed parties / rate / duration /
-//! seeds), swept over the reporting cadence. Each cadence runs twice —
-//! [`ReportingMode::DeltaPlane`] vs full re-ship — on identical seeds,
+//! seeds), swept over the reporting cadence. Each cadence runs twice
+//! through the one sustained engine — [`ReportingMode::DeltaPlane`] vs
+//! full re-ship — on identical seeds,
 //! plus one lossy-channel delta run (drops on both paths, so dup /
 //! reorder / resync machinery is exercised under measurement). Queries
 //! fire every [`QUERY_EVERY`] ticks regardless of cadence, so slower
@@ -27,7 +28,7 @@
 
 use crate::table::Table;
 use gt_core::{effective_workers, SketchConfig};
-use gt_streams::scenario::{run_continuous, run_sustained, E2eReport, ScenarioSpec};
+use gt_streams::scenario::{run_sustained, E2eReport, ScenarioSpec};
 use gt_streams::{Distribution, RetryPolicy, Tick, TransportSpec};
 
 /// Where the machine-readable summary lands.
@@ -92,7 +93,7 @@ pub fn run(quick: bool) -> Vec<Table> {
         rows.push(Row {
             mode: "delta",
             report_every: cadence,
-            report: run_continuous(&config, MASTER_SEED, &delta_spec),
+            report: run_sustained(&config, MASTER_SEED, &delta_spec),
         });
         let full_spec = base_spec("full", parties, distinct, rate, duration, cadence).build();
         rows.push(Row {
@@ -115,7 +116,7 @@ pub fn run(quick: bool) -> Vec<Table> {
     rows.push(Row {
         mode: "delta_lossy",
         report_every: cadences[0],
-        report: run_continuous(&config, MASTER_SEED, &lossy_spec),
+        report: run_sustained(&config, MASTER_SEED, &lossy_spec),
     });
 
     let mut table = Table::new(

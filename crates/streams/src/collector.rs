@@ -329,6 +329,93 @@ mod tests {
             .collect()
     }
 
+    /// The one-shot channel of the paper's fault model: unit latency, no
+    /// jitter or stragglers.
+    fn unit_latency_channel(drop: f64, corrupt: f64, seed: u64) -> TransportSpec {
+        TransportSpec {
+            drop_probability: drop,
+            corrupt_probability: corrupt,
+            base_latency: 1,
+            jitter: 0,
+            straggle_probability: 0.0,
+            straggle_latency: 0,
+            seed,
+        }
+    }
+
+    /// Ten parties over a generated workload (ε=0.1, δ=0.05, seed 7).
+    fn workload_messages(config: &SketchConfig) -> Vec<PartyMessage> {
+        let streams = crate::workload::WorkloadSpec {
+            parties: 10,
+            distinct_per_party: 3_000,
+            overlap: 0.3,
+            items_per_party: 9_000,
+            distribution: crate::workload::Distribution::Uniform,
+            seed: 0xFA17,
+        }
+        .generate();
+        streams
+            .streams
+            .iter()
+            .enumerate()
+            .map(|(id, s)| {
+                let mut p = Party::new(id, config, 7);
+                p.observe_stream(s);
+                p.finish()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn retries_beat_the_one_shot_channel() {
+        // Same drop probability, same seed, nonzero retry budget ->
+        // strictly more of the union delivered.
+        let config = SketchConfig::new(0.1, 0.05).unwrap();
+        let messages = workload_messages(&config);
+        let channel = unit_latency_channel(0.5, 0.0, 2);
+        let (one_shot, _) = collect_once(&config, 7, &messages, channel, RetryPolicy::one_shot());
+        let (retried, referee) =
+            collect_once(&config, 7, &messages, channel, RetryPolicy::with_budget(8));
+        assert!(
+            one_shot.parties_acked() < retried.parties_acked(),
+            "one-shot {} vs retried {}",
+            one_shot.parties_acked(),
+            retried.parties_acked()
+        );
+        assert_eq!(retried.parties_acked(), 10, "8 attempts at p=0.5");
+        assert!(referee.estimate_distinct_partial(10).is_complete());
+    }
+
+    #[test]
+    fn fate_counts_stay_consistent_under_retries() {
+        // With a retry budget the referee records several attempts for
+        // one party, so drops must come from the channel's own count: a
+        // `parties - attempts` derivation would underflow here.
+        let config = SketchConfig::new(0.1, 0.05).unwrap();
+        let messages = workload_messages(&config);
+        let (report, referee) = collect_once(
+            &config,
+            7,
+            &messages,
+            unit_latency_channel(0.4, 0.2, 8),
+            RetryPolicy {
+                max_attempts: 6,
+                ack_drop_probability: 0.3,
+                ..RetryPolicy::one_shot()
+            },
+        );
+        let t = referee.telemetry();
+        // Channel-side conservation: every send was dropped or delivered.
+        assert_eq!(
+            report.transport.sends,
+            report.transport.dropped + report.transport.delivered
+        );
+        // Referee-side conservation: every delivery is accounted once.
+        assert_eq!(t.attempts(), report.transport.delivered);
+        // And drops exceed what any referee-side derivation could see.
+        assert!(report.transport.sends > messages.len());
+    }
+
     #[test]
     fn reliable_channel_one_shot_collects_everyone() {
         let msgs = messages(6, 300, 3);

@@ -28,13 +28,12 @@
 //! * [`collector`] — the at-least-once collection plane: ack / timeout /
 //!   retransmit rounds with capped exponential backoff over a
 //!   [`transport::Transport`], feeding an idempotent [`referee`].
-//! * [`faults`] — the one-shot fault harness of earlier experiments,
-//!   now a thin configuration of the transport + collector.
 //! * [`scenario`] — the declarative end-to-end harness: a
 //!   [`scenario::ScenarioSpec`] (topology × workload × fault plan ×
-//!   query plan, all plain data) dispatched to one of five engines,
-//!   including a sustained-rate load generator on the virtual clock
-//!   that measures per-item admission→queryable latency and emits an
+//!   query plan, all plain data) dispatched to a batch engine or to the
+//!   sustained engine: one virtual-clock load generator for both
+//!   reporting modes (full re-ship and the delta plane) that measures
+//!   per-item admission→queryable latency and emits an
 //!   [`scenario::E2eReport`].
 
 #![forbid(unsafe_code)]
@@ -42,7 +41,6 @@
 
 pub mod codec;
 pub mod collector;
-pub mod faults;
 pub mod netflow;
 pub mod oracle;
 pub mod party;
@@ -59,7 +57,6 @@ pub use codec::{
     Frame, WirePayload,
 };
 pub use collector::{collect_once, CollectionReport, Collector, PartyAttempts, RetryPolicy};
-pub use faults::{run_with_faults, FateCounts, FaultReport, FaultSpec, MessageFate};
 pub use netflow::{FlowRecord, FlowWorkload};
 pub use oracle::StreamOracle;
 pub use party::{DeltaParty, DeltaPartyStats, Party, PartyMessage};
@@ -73,9 +70,9 @@ pub use runner::{
     LiveQuerySample, PartyPhases, ResilientReport, ScenarioReport,
 };
 pub use scenario::{
-    named_suite, run_continuous, run_spec, run_spec_on, run_sustained, ChurnEvent, ChurnKind,
-    DeltaPlaneReport, DistinctSample, E2eDeterminismKey, E2eReport, ExpressionSample, FaultPlan,
-    IngestMode, JaccardSample, LatencyHistogram, LoadPhase, LoadShape, QueryPlan, ReportingMode,
+    named_suite, run_spec, run_spec_on, run_sustained, ChurnEvent, ChurnKind, DeltaPlaneReport,
+    DistinctSample, E2eDeterminismKey, E2eReport, ExpressionSample, FaultPlan, IngestMode,
+    JaccardSample, LatencyHistogram, LoadPhase, LoadShape, QueryPlan, ReportingMode,
     ScenarioBuilder, ScenarioOutcome, ScenarioSpec, TopologySpec, WindowSample, WorkloadPlan,
     LATENCY_CLAMP,
 };

@@ -64,9 +64,9 @@ pub fn batch_size_bucket(summaries: usize) -> usize {
 
 /// Per-stage accounting of everything the referee was handed.
 ///
-/// Fate counts derive from here plus the channel's own drop counter (see
-/// `crate::faults`): `accepted + duplicates() + rejected() == deliveries
-/// the referee saw`.
+/// Fate counts derive from here plus the channel's own drop counter
+/// ([`crate::transport::TransportTelemetry::dropped`]):
+/// `accepted + duplicates() + rejected() == deliveries the referee saw`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RefereeTelemetry {
     /// First accepted message per party: decoded, validated, merged, and
