@@ -20,8 +20,8 @@ use std::time::Duration;
 
 use crate::table::Table;
 use gt_core::{ConcurrentSketch, SketchConfig};
-use gt_streams::runner::run_live_query_scenario;
 use gt_streams::workload::{Distribution, WorkloadSpec};
+use gt_streams::{run_spec_on, IngestMode, ScenarioOutcome, ScenarioSpec};
 
 /// Where the machine-readable summary lands.
 pub const BENCH_JSON: &str = "results/BENCH_concurrent.json";
@@ -66,10 +66,19 @@ pub fn run(quick: bool) -> Vec<Table> {
             seed: SEED ^ w as u64,
         };
         let streams = spec.generate();
+        let live = ScenarioSpec::builder("e18")
+            .from_workload(&spec)
+            .ingest(IngestMode::SharedConcurrent {
+                writer_threshold: threshold,
+            })
+            .build();
         let mut best_wall = Duration::MAX;
         let mut best = None;
         for _ in 0..reps {
-            let report = run_live_query_scenario(&config, SEED, &streams, threshold);
+            let ScenarioOutcome::Live(report) = run_spec_on(&config, SEED, &live, Some(&streams))
+            else {
+                unreachable!("shared-concurrent ingest runs the live engine");
+            };
             // Protocol properties hold on every rep, any machine.
             assert!(report.monotone, "snapshots regressed at {w} writers");
             assert!(

@@ -22,7 +22,7 @@
 
 use crate::table::Table;
 use gt_core::{SetExpr, SketchConfig};
-use gt_streams::{run_expression_scenario, Distribution, WorkloadSpec};
+use gt_streams::{run_batch, Distribution, ScenarioSpec, WorkloadSpec};
 
 /// Where the machine-readable summary lands.
 pub const BENCH_JSON: &str = "results/BENCH_expr.json";
@@ -110,9 +110,14 @@ pub fn run(quick: bool) -> Vec<Table> {
                 distribution: Distribution::Uniform,
                 seed: 0xE22 + seed,
             };
-            let streams = spec.generate();
-            let report =
-                run_expression_scenario(&config, 1000 + seed, &streams, &queries, &jaccard_queries);
+            let mut scenario = ScenarioSpec::builder("e22").from_workload(&spec);
+            for q in &queries {
+                scenario = scenario.query_expr(q.clone());
+            }
+            for (e1, e2) in &jaccard_queries {
+                scenario = scenario.query_jaccard(e1.clone(), e2.clone());
+            }
+            let report = run_batch(&config, 1000 + seed, &scenario.build(), &spec.generate());
             for (outcome, stats) in report.queries.iter().zip(depth_stats.iter_mut()) {
                 stats.scaled_errors.push(outcome.scaled_error);
                 table.row(vec![

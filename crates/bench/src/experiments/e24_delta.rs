@@ -18,7 +18,7 @@
 //! full re-ship — on identical seeds,
 //! plus one lossy-channel delta run (drops on both paths, so dup /
 //! reorder / resync machinery is exercised under measurement). Queries
-//! fire every [`QUERY_EVERY`] ticks regardless of cadence, so slower
+//! fire every `QUERY_EVERY` (5) ticks regardless of cadence, so slower
 //! cadences honestly pay more staleness: that is the frontier. Writes
 //! `results/BENCH_delta.json` for the CI gate: bytes ratio >= floor,
 //! staleness bounded by cadence, bytes-vs-staleness monotone across the
@@ -105,14 +105,21 @@ pub fn run(quick: bool) -> Vec<Table> {
     // One lossy run at the base cadence: drops + ack drops force dups,
     // retransmits and (possibly) resyncs through the measured path. It
     // is excluded from the frontier gates but its oracle still counts.
-    let lossy_spec = base_spec("delta_lossy", parties, distinct, rate, duration, cadences[0])
-        .transport(TransportSpec::lossy(0.05, 0xE24))
-        .retry(RetryPolicy {
-            ack_drop_probability: 0.05,
-            ..RetryPolicy::with_budget(8)
-        })
-        .delta_plane()
-        .build();
+    let lossy_spec = base_spec(
+        "delta_lossy",
+        parties,
+        distinct,
+        rate,
+        duration,
+        cadences[0],
+    )
+    .transport(TransportSpec::lossy(0.05, 0xE24))
+    .retry(RetryPolicy {
+        ack_drop_probability: 0.05,
+        ..RetryPolicy::with_budget(8)
+    })
+    .delta_plane()
+    .build();
     rows.push(Row {
         mode: "delta_lossy",
         report_every: cadences[0],
@@ -264,7 +271,11 @@ fn write_json(rows: &[Row], quick: bool, workers: usize, min_ratio: f64) {
         workers,
         QUERY_EVERY,
         BYTES_RATIO_FLOOR,
-        if min_ratio.is_finite() { min_ratio } else { 0.0 },
+        if min_ratio.is_finite() {
+            min_ratio
+        } else {
+            0.0
+        },
         json_rows.join(",")
     );
     if let Err(e) =

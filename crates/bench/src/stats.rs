@@ -15,7 +15,7 @@ use std::time::Duration;
 
 use gt_store::StoreMetricsSnapshot;
 use gt_streams::scenario::E2eReport;
-use gt_streams::ScenarioReport;
+use gt_streams::BatchReport;
 
 fn secs(d: Duration) -> f64 {
     d.as_secs_f64()
@@ -23,14 +23,18 @@ fn secs(d: Duration) -> f64 {
 
 /// Render the scenario's observability data as an indented, labelled
 /// plain-text block.
-pub fn render_stats(report: &ScenarioReport) -> String {
+pub fn render_stats(report: &BatchReport) -> String {
     let t = &report.referee_telemetry;
     let m = &report.union_metrics;
     let mut out = String::new();
     out.push_str("sketch-ops stats\n");
     out.push_str(&format!(
         "  scenario: {} parties, {} items, estimate {:.1} vs truth {} (rel err {:.4})\n",
-        report.parties, report.total_items, report.estimate, report.truth, report.relative_error,
+        report.parties,
+        report.total_items,
+        report.estimate(),
+        report.truth,
+        report.relative_error,
     ));
     out.push_str(&format!(
         "  throughput: {:.0} items/s across {} parties during observation\n",
@@ -87,7 +91,7 @@ pub fn render_stats(report: &ScenarioReport) -> String {
 }
 
 /// Render the same data as a single JSON object.
-pub fn render_stats_json(report: &ScenarioReport) -> String {
+pub fn render_stats_json(report: &BatchReport) -> String {
     let t = &report.referee_telemetry;
     // An instantaneous observation phase reports throughput as infinity,
     // which JSON cannot carry; clamp to 0 (no meaningful rate).
@@ -119,7 +123,7 @@ pub fn render_stats_json(report: &ScenarioReport) -> String {
         ),
         report.parties,
         report.total_items,
-        report.estimate,
+        report.estimate(),
         report.truth,
         report.relative_error,
         items_per_sec,
@@ -325,8 +329,8 @@ pub fn demo_store() -> StoreMetricsSnapshot {
 
 /// Run a small fixed scenario and return its report — the demo/smoke
 /// input for the stats renderers.
-pub fn demo_scenario() -> ScenarioReport {
-    let spec = gt_streams::WorkloadSpec {
+pub fn demo_scenario() -> BatchReport {
+    let workload = gt_streams::WorkloadSpec {
         parties: 4,
         distinct_per_party: 4_000,
         overlap: 0.5,
@@ -334,8 +338,11 @@ pub fn demo_scenario() -> ScenarioReport {
         distribution: gt_streams::Distribution::Zipf(1.05),
         seed: 0x5_7A75,
     };
+    let spec = gt_streams::ScenarioSpec::builder("stats_demo")
+        .from_workload(&workload)
+        .build();
     let config = gt_core::SketchConfig::new(0.1, 0.05).unwrap();
-    gt_streams::run_scenario(&config, 0xC0FFEE, &spec.generate())
+    gt_streams::run_batch(&config, 0xC0FFEE, &spec, &workload.generate())
 }
 
 #[cfg(test)]

@@ -1154,7 +1154,10 @@ mod tests {
                 base_fingerprint,
                 delta,
             } => {
-                assert_eq!((generation, base_generation, base_fingerprint), (9, 4, base_fp));
+                assert_eq!(
+                    (generation, base_generation, base_fingerprint),
+                    (9, 4, base_fp)
+                );
                 // The decoded delta must still apply exactly.
                 let mut rebuilt = base.clone();
                 gt_core::apply_delta(&mut rebuilt, &delta).unwrap();
@@ -1200,7 +1203,10 @@ mod tests {
         ));
         // Truncations anywhere must not panic.
         for cut in [0, 4, 5, 6, bytes.len() / 2, bytes.len() - 1] {
-            assert!(decode_frame::<()>(bytes.slice(0..cut)).is_err(), "cut {cut}");
+            assert!(
+                decode_frame::<()>(bytes.slice(0..cut)).is_err(),
+                "cut {cut}"
+            );
         }
         // A delta frame claiming to be its own base is malformed.
         let d = DistinctSketch::new(&cfg(), 5);

@@ -14,10 +14,6 @@
 //!   LEB128-encoded samples) with byte-accurate accounting, so experiment
 //!   E9 measures real message sizes rather than `size_of` guesses.
 //! * [`party`] / [`referee`] — the two roles, as plain types.
-//! * [`runner`] — a multi-threaded scenario runner (one OS thread per
-//!   party, crossbeam channels to the referee) producing a
-//!   [`runner::ScenarioReport`] with estimates, ground truth, error, and
-//!   communication totals.
 //! * [`netflow`] — a flow-record (5-tuple) workload generator for the
 //!   paper's motivating network-monitoring domain.
 //! * [`topology`] — hierarchical (tree) aggregation of party messages
@@ -30,11 +26,16 @@
 //!   [`transport::Transport`], feeding an idempotent [`referee`].
 //! * [`scenario`] — the declarative end-to-end harness: a
 //!   [`scenario::ScenarioSpec`] (topology × workload × fault plan ×
-//!   query plan, all plain data) dispatched to a batch engine or to the
-//!   sustained engine: one virtual-clock load generator for both
-//!   reporting modes (full re-ship and the delta plane) that measures
-//!   per-item admission→queryable latency and emits an
-//!   [`scenario::E2eReport`].
+//!   query plan, all plain data) dispatched to one of three engines.
+//!   [`scenario::run_batch`] runs the one-shot model (one thread per
+//!   party, then direct, tree or faulty-channel delivery, then the
+//!   union estimate and any expression queries) and returns a
+//!   [`scenario::BatchReport`] with estimates, ground truth, error and
+//!   communication totals. The live engine serves queries while writers
+//!   ingest into a shared sketch. The sustained engine is one
+//!   virtual-clock load generator for both reporting modes (full re-ship
+//!   and the delta plane) that measures per-item admission→queryable
+//!   latency and emits an [`scenario::E2eReport`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,7 +46,6 @@ pub mod netflow;
 pub mod oracle;
 pub mod party;
 pub mod referee;
-pub mod runner;
 pub mod scenario;
 pub mod topology;
 pub mod transport;
@@ -64,17 +64,13 @@ pub use referee::{
     batch_size_bucket, DeltaPlaneTelemetry, PartialEstimate, PartialExpressionEstimate,
     PartialJaccardEstimate, Receipt, Referee, RefereeOf, RefereeTelemetry, BATCH_BUCKET_LABELS,
 };
-pub use runner::{
-    run_expression_scenario, run_live_query_scenario, run_resilient_scenario, run_scenario,
-    ExpressionQueryOutcome, ExpressionScenarioReport, JaccardQueryOutcome, LiveQueryReport,
-    LiveQuerySample, PartyPhases, ResilientReport, ScenarioReport,
-};
 pub use scenario::{
-    named_suite, run_spec, run_spec_on, run_sustained, ChurnEvent, ChurnKind, DeltaPlaneReport,
-    DistinctSample, E2eDeterminismKey, E2eReport, ExpressionSample, FaultPlan, IngestMode,
-    JaccardSample, LatencyHistogram, LoadPhase, LoadShape, QueryPlan, ReportingMode,
-    ScenarioBuilder, ScenarioOutcome, ScenarioSpec, TopologySpec, WindowSample, WorkloadPlan,
-    LATENCY_CLAMP,
+    named_suite, run_batch, run_spec, run_spec_on, run_sustained, BatchReport, ChurnEvent,
+    ChurnKind, DeltaPlaneReport, DistinctSample, E2eDeterminismKey, E2eReport,
+    ExpressionQueryOutcome, ExpressionSample, FaultPlan, IngestMode, JaccardQueryOutcome,
+    JaccardSample, LatencyHistogram, LiveQueryReport, LiveQuerySample, LoadPhase, LoadShape,
+    PartyPhases, QueryPlan, ReportingMode, ScenarioBuilder, ScenarioOutcome, ScenarioSpec,
+    TopologySpec, WindowSample, WorkloadPlan, LATENCY_CLAMP,
 };
 pub use topology::{aggregate_tree, HierarchicalReport};
 pub use transport::{Delivery, SendFate, Tick, Transport, TransportSpec, TransportTelemetry};

@@ -139,7 +139,7 @@ impl FlowWorkload {
             .into_iter()
             .map(|recs| recs.iter().map(FlowRecord::label).collect())
             .collect();
-        // Wrap in a StreamSet so the scenario runner accepts it; the spec
+        // Wrap in a StreamSet so `run_batch` accepts it; the spec
         // recorded is a synthetic equivalent (distinct structure only).
         crate::workload::StreamSet {
             streams,
@@ -246,15 +246,23 @@ mod tests {
     }
 
     #[test]
-    fn label_streams_glue_works_with_runner() {
+    fn label_streams_glue_works_with_run_batch() {
         let w = small();
         let set = w.label_streams();
         assert_eq!(set.streams.len(), 4);
         let config = gt_core::SketchConfig::new(0.1, 0.05).unwrap();
-        let report = crate::runner::run_scenario(&config, 7, &set);
-        let rel = (report.estimate - report.truth as f64).abs() / report.truth as f64;
-        assert!(rel < 0.1, "est {} truth {}", report.estimate, report.truth);
-        // Truth from the runner's oracle must be ≤ the table size (not
+        let spec = crate::scenario::ScenarioSpec::builder("netflow")
+            .from_workload(&set.spec)
+            .build();
+        let report = crate::scenario::run_batch(&config, 7, &spec, &set);
+        let rel = (report.estimate() - report.truth as f64).abs() / report.truth as f64;
+        assert!(
+            rel < 0.1,
+            "est {} truth {}",
+            report.estimate(),
+            report.truth
+        );
+        // Truth from the batch run's oracle must be ≤ the table size (not
         // every flow need be touched).
         assert!(report.truth <= w.true_distinct_flows());
     }

@@ -5,8 +5,8 @@
 //!
 //! A [`Party`] is deliberately thin — it owns a sketch, feeds it, and
 //! finalizes into a [`PartyMessage`] whose byte length *is* the party's
-//! total communication (the model allows no other traffic). The runner
-//! puts one of these on each thread.
+//! total communication (the model allows no other traffic).
+//! [`crate::scenario::run_batch`] puts one of these on each thread.
 
 use std::collections::VecDeque;
 
@@ -255,7 +255,11 @@ impl<V: WirePayload + PartialEq> DeltaParty<V> {
     /// (older than the current base, or beyond the retention window)
     /// are ignored.
     pub fn handle_ack(&mut self, generation: u64) {
-        if self.acked.as_ref().is_some_and(|&(g, _, _)| g >= generation) {
+        if self
+            .acked
+            .as_ref()
+            .is_some_and(|&(g, _, _)| g >= generation)
+        {
             return;
         }
         let Some(pos) = self.pending.iter().position(|&(g, _)| g == generation) else {

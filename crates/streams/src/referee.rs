@@ -512,8 +512,11 @@ impl<V: WirePayload> RefereeOf<V> {
                     .party_sketches
                     .get(&msg.party_id)
                     .expect("a validated delta base implies a retained party sketch");
-                let old_items: Vec<u64> =
-                    current.trials().iter().map(|t| t.items_observed()).collect();
+                let old_items: Vec<u64> = current
+                    .trials()
+                    .iter()
+                    .map(|t| t.items_observed())
+                    .collect();
                 let mut next = current.clone();
                 let merge_start = Instant::now();
                 let applied = apply_delta(&mut next, &delta)
@@ -1490,9 +1493,8 @@ mod tests {
     fn delta_frames_maintain_a_bitwise_identical_live_union() {
         let config = cfg();
         let mut referee = Referee::new(&config, 9);
-        let mut parties: Vec<DeltaParty<()>> = (0..3)
-            .map(|id| DeltaParty::new(id, &config, 9))
-            .collect();
+        let mut parties: Vec<DeltaParty<()>> =
+            (0..3).map(|id| DeltaParty::new(id, &config, 9)).collect();
         let mut next_label = 0u64;
         for round in 0..6 {
             for p in parties.iter_mut() {

@@ -7,14 +7,13 @@
 //! queries every 100 ticks" is ~15 lines of [`ScenarioBuilder`] calls.
 //! [`run_spec`] validates the spec (a combination no engine honours in
 //! full panics rather than being silently ignored; see
-//! [`ScenarioBuilder::build`]) and dispatches it to one of five engines:
+//! [`ScenarioBuilder::build`]) and dispatches it to one of three engines:
 //!
-//! * **Classic** — the paper's one-shot model: batch streams, perfect
-//!   channel, a single end-of-stream message per party.
-//! * **Resilient** — batch streams over a faulty [`TransportSpec`]
-//!   channel with a retrying collector.
-//! * **Expression** — batch streams plus set-expression / Jaccard
-//!   queries against the referee's retained per-party summaries.
+//! * **Batch** — [`run_batch`], the paper's one-shot model: each party
+//!   ships one message, which reaches the referee directly, through a
+//!   collector tree, or over a faulty [`TransportSpec`] channel with a
+//!   retrying collector; the referee then answers the union estimate and
+//!   any set-expression / Jaccard queries.
 //! * **Live** — batch streams ingested concurrently through a shared
 //!   [`gt_core::ConcurrentSketch`] while queries are served mid-flight.
 //! * **Sustained** — [`run_sustained`], a sustained-rate load generator
@@ -27,10 +26,6 @@
 //!   how a party summarises and emits, how the referee absorbs a tick's
 //!   deliveries, where window queries are answered, and the delta
 //!   plane's extra accounting ([`DeltaPlaneReport`]).
-//!
-//! The four legacy `run_*_scenario` entry points in [`crate::runner`]
-//! are thin wrappers over builder instances dispatched through this
-//! module — pinned behavior-equivalent by `tests/scenario_regression.rs`.
 //!
 //! ## Latency definition
 //!
@@ -47,14 +42,13 @@
 //!
 //! The sustained engine is single-threaded by construction and every
 //! stochastic choice (workload draws, channel fates) is owned by a
-//! seeded [`SmallRng`]. `IngestMode::Sequential` batch runs are likewise
-//! deterministic. `IngestMode::PerPartyThreads` and `SharedConcurrent`
-//! batch runs produce schedule-independent *state* (canonical union
-//! bytes, exactly-once counters) but timing-shaped telemetry (batch
-//! counts, phase durations) may vary run to run.
+//! seeded [`SmallRng`]. Batch runs join their party threads before
+//! delivering, so their state and counts are deterministic too; only
+//! phase durations vary. Live runs converge to a schedule-independent
+//! final state, but their mid-flight samples depend on scheduling.
 
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -62,14 +56,10 @@ use rand::{Rng, SeedableRng};
 use gt_core::{DistinctSketch, LatestTs, SetExpr, SketchConfig, SlidingWindowSketch};
 
 use crate::codec::{encode_full_frame, encode_sketch, payload_fingerprint, WirePayload};
-use crate::collector::{Collector, RetryPolicy};
+use crate::collector::{CollectionReport, Collector, RetryPolicy};
 use crate::oracle::StreamOracle;
 use crate::party::{DeltaParty, Party, PartyMessage};
-use crate::referee::{Receipt, Referee, RefereeOf, RefereeTelemetry};
-use crate::runner::{
-    ExpressionQueryOutcome, ExpressionScenarioReport, JaccardQueryOutcome, LiveQueryReport,
-    LiveQuerySample, PartyPhases, ResilientReport, ScenarioReport,
-};
+use crate::referee::{PartialEstimate, Receipt, Referee, RefereeOf, RefereeTelemetry};
 use crate::transport::{Delivery, Tick, Transport, TransportSpec, TransportTelemetry};
 use crate::workload::{Distribution, StreamSet, WorkloadSpec, ZipfSampler};
 
@@ -81,19 +71,15 @@ pub const LATENCY_CLAMP: Tick = 4096;
 // Spec types (plain data)
 // ---------------------------------------------------------------------
 
-/// How parties feed their streams into the system (batch engines only;
-/// the sustained engine is single-threaded by construction).
+/// How parties feed batch-load streams into the system (the sustained
+/// engine is single-threaded by construction).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum IngestMode {
-    /// One OS thread per party, referee pipelined on the caller's thread
-    /// (the legacy [`crate::runner::run_scenario`] shape).
+    /// One OS thread per party, each finishing one message for the
+    /// referee ([`run_batch`]).
     PerPartyThreads,
-    /// Parties observe serially in id order and the referee receives one
-    /// batch of all messages — fully deterministic, for replay tests.
-    Sequential,
     /// All parties write into one shared [`gt_core::ConcurrentSketch`]
-    /// while queries are served from snapshots (the legacy
-    /// [`crate::runner::run_live_query_scenario`] shape).
+    /// while queries are served from snapshots (the live engine).
     SharedConcurrent {
         /// Writer-local buffer threshold before propagation.
         writer_threshold: u64,
@@ -105,7 +91,7 @@ pub enum IngestMode {
 pub struct TopologySpec {
     /// Number of parties (streams).
     pub parties: usize,
-    /// Ingest mode for batch engines.
+    /// Ingest mode for batch load.
     pub ingest: IngestMode,
     /// Aggregate batch-load summaries through a collector tree of this
     /// depth instead of shipping every party message straight to the
@@ -233,12 +219,12 @@ pub struct ChurnEvent {
 #[derive(Clone, Debug)]
 pub struct FaultPlan {
     /// Simulated channel; `None` means a direct in-process channel for
-    /// batch engines and a reliable channel for the sustained engine.
+    /// batch load and a reliable channel for the sustained engine.
     pub transport: Option<TransportSpec>,
-    /// Retry behaviour (resilient collector rounds / sustained-engine
+    /// Retry behaviour (batch-load collector rounds / sustained-engine
     /// final retransmit rounds).
     pub retry: RetryPolicy,
-    /// Mid-run churn (sustained engine only; batch engines ignore it).
+    /// Mid-run churn (sustained load only).
     pub churn: Vec<ChurnEvent>,
 }
 
@@ -370,8 +356,8 @@ impl ScenarioBuilder {
     }
 
     /// Copy parties, universe structure, distribution, seed, and batch
-    /// size from an existing [`WorkloadSpec`] — how the legacy runner
-    /// wrappers become builder instances.
+    /// size from an existing [`WorkloadSpec`] — how a pre-generated
+    /// [`StreamSet`] becomes a spec for [`run_batch`].
     pub fn from_workload(mut self, wl: &WorkloadSpec) -> Self {
         self.spec.topology.parties = wl.parties;
         self.spec.workload.distinct_per_party = wl.distinct_per_party;
@@ -485,10 +471,10 @@ impl ScenarioBuilder {
     /// # Panics
     /// Panics on a spec no engine can honour in full: no parties, an
     /// empty universe, churn naming a party outside the topology, a tree
-    /// depth on sustained load, a window query on batch load, or a batch
-    /// spec that turns on more than one engine-selecting knob (tree
-    /// depth, shared-concurrent ingest, a transport, expression/Jaccard
-    /// queries) — each batch engine honours only its own.
+    /// depth or shared-concurrent ingest on sustained load, a window
+    /// query, the delta plane or churn on batch load, or a batch spec
+    /// that turns on more than one of tree depth, shared-concurrent
+    /// ingest, a transport and expression/Jaccard queries.
     pub fn build(self) -> ScenarioSpec {
         validate(&self.spec);
         self.spec
@@ -518,18 +504,27 @@ fn validate(spec: &ScenarioSpec) {
             topo.tree_depth.is_none(),
             "tree depth applies to batch load only"
         );
+        assert!(
+            topo.ingest == IngestMode::PerPartyThreads,
+            "shared-concurrent ingest applies to batch load only"
+        );
         return;
     }
     assert!(q.window.is_none(), "window queries need sustained load");
-    let engine_knobs = [
+    assert!(
+        spec.reporting == ReportingMode::FullReship,
+        "the delta plane needs sustained load"
+    );
+    assert!(spec.faults.churn.is_empty(), "churn needs sustained load");
+    let knobs = [
         topo.tree_depth.is_some(),
         matches!(topo.ingest, IngestMode::SharedConcurrent { .. }),
         spec.faults.transport.is_some(),
         !q.expressions.is_empty() || !q.jaccard.is_empty(),
     ];
     assert!(
-        engine_knobs.iter().filter(|&&on| on).count() <= 1,
-        "batch engines are exclusive: tree depth, shared-concurrent ingest, a transport \
+        knobs.iter().filter(|&&on| on).count() <= 1,
+        "batch knobs are exclusive: tree depth, shared-concurrent ingest, a transport \
          and expression/Jaccard queries do not combine"
     );
 }
@@ -541,32 +536,26 @@ fn validate(spec: &ScenarioSpec) {
 /// What a [`ScenarioSpec`] produced, by engine.
 #[derive(Clone, Debug)]
 pub enum ScenarioOutcome {
-    /// One-shot batch run over a perfect channel.
-    Classic(ScenarioReport),
-    /// Batch run through the faulty-channel retrying collector.
-    Resilient(ResilientReport),
-    /// Batch run answering set-expression / Jaccard queries.
-    Expression(ExpressionScenarioReport),
+    /// One-shot batch run ([`run_batch`]).
+    Batch(Box<BatchReport>),
     /// Concurrent-ingest run serving queries mid-flight.
-    Live(LiveQueryReport),
+    Live(Box<LiveQueryReport>),
     /// Sustained-rate run on the virtual clock.
     Sustained(Box<E2eReport>),
 }
 
 /// Run a spec end to end, generating its streams from the workload plan.
 ///
-/// Dispatch: sustained load → the sustained engine; batch load with a
-/// tree depth → tree engine (a [`ScenarioOutcome::Classic`] report);
-/// with [`IngestMode::SharedConcurrent`] → live engine; with a
-/// transport → resilient engine; with expression or Jaccard queries →
-/// expression engine; otherwise the classic engine.
+/// Dispatch: sustained load → the sustained engine; batch load with
+/// [`IngestMode::SharedConcurrent`] → the live engine; any other batch
+/// load → [`run_batch`].
 pub fn run_spec(config: &SketchConfig, master_seed: u64, spec: &ScenarioSpec) -> ScenarioOutcome {
     run_spec_on(config, master_seed, spec, None)
 }
 
 /// [`run_spec`] with an optional pre-generated stream set for batch
-/// engines (must have one stream per party). The sustained engine
-/// always draws incrementally and ignores `streams`.
+/// load (must have one stream per party). The sustained engine always
+/// draws incrementally and ignores `streams`.
 pub fn run_spec_on(
     config: &SketchConfig,
     master_seed: u64,
@@ -574,177 +563,146 @@ pub fn run_spec_on(
     streams: Option<&StreamSet>,
 ) -> ScenarioOutcome {
     validate(spec);
-    match &spec.workload.load {
-        LoadShape::Sustained { .. } => {
-            ScenarioOutcome::Sustained(Box::new(run_sustained(config, master_seed, spec)))
+    if let LoadShape::Sustained { .. } = spec.workload.load {
+        return ScenarioOutcome::Sustained(Box::new(run_sustained(config, master_seed, spec)));
+    }
+    let generated;
+    let streams = match streams {
+        Some(s) => s,
+        None => {
+            generated = spec
+                .workload
+                .to_workload_spec(spec.topology.parties)
+                .generate();
+            &generated
         }
-        LoadShape::Batch { .. } => {
-            let generated;
-            let streams = match streams {
-                Some(s) => s,
-                None => {
-                    generated = spec
-                        .workload
-                        .to_workload_spec(spec.topology.parties)
-                        .generate();
-                    &generated
-                }
-            };
+    };
+    match spec.topology.ingest {
+        IngestMode::SharedConcurrent { writer_threshold } => {
             assert_eq!(
                 streams.streams.len(),
                 spec.topology.parties,
                 "stream set does not match the topology"
             );
-            // `validate` has refused any combination of these knobs.
-            let (c, seed, q, retry) = (config, master_seed, &spec.queries, spec.faults.retry);
-            match (
-                spec.topology.tree_depth,
-                spec.topology.ingest,
-                spec.faults.transport,
-            ) {
-                (Some(depth), ..) => {
-                    ScenarioOutcome::Classic(run_tree_engine(c, seed, streams, depth))
-                }
-                (_, IngestMode::SharedConcurrent { writer_threshold }, _) => {
-                    ScenarioOutcome::Live(run_live_engine(c, seed, streams, writer_threshold))
-                }
-                (_, _, Some(t)) => {
-                    ScenarioOutcome::Resilient(run_resilient_engine(c, seed, streams, t, retry))
-                }
-                _ if !q.expressions.is_empty() || !q.jaccard.is_empty() => {
-                    ScenarioOutcome::Expression(run_expression_engine(
-                        c,
-                        seed,
-                        streams,
-                        &q.expressions,
-                        &q.jaccard,
-                    ))
-                }
-                (_, ingest, None) => {
-                    ScenarioOutcome::Classic(run_classic_engine(c, seed, streams, ingest))
-                }
-            }
+            let live = run_live_engine(config, master_seed, streams, writer_threshold);
+            ScenarioOutcome::Live(Box::new(live))
+        }
+        IngestMode::PerPartyThreads => {
+            ScenarioOutcome::Batch(Box::new(run_batch(config, master_seed, spec, streams)))
         }
     }
 }
 
 // ---------------------------------------------------------------------
-// Batch engines (moved here from crate::runner; the legacy entry points
-// are now thin wrappers over builder instances dispatched above)
+// Batch engine
 // ---------------------------------------------------------------------
 
-/// Observe one party's whole stream and finish its message, timing both
-/// phases.
-fn observe_party(
-    id: usize,
-    stream: &[u64],
-    config: &SketchConfig,
-    master_seed: u64,
-) -> (PartyMessage, PartyPhases) {
-    let mut party = Party::new(id, config, master_seed);
-    let observe_start = Instant::now();
-    party.observe_stream(stream);
-    let observe = observe_start.elapsed();
-    let encode_start = Instant::now();
-    let msg = party.finish();
-    let encode = encode_start.elapsed();
-    (msg, PartyPhases { observe, encode })
+/// One party's own phase timings, measured on its thread.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct PartyPhases {
+    /// Time feeding the stream into the sketch.
+    pub observe: Duration,
+    /// Time encoding the end-of-stream message.
+    pub encode: Duration,
 }
 
-/// Classic one-shot engine. `PerPartyThreads` runs one OS thread per
-/// party with the referee pipelined on the caller's thread;
-/// `Sequential` observes parties in id order and hands the referee one
-/// batch of all messages (deterministic telemetry for replay tests).
-pub(crate) fn run_classic_engine(
-    config: &SketchConfig,
-    master_seed: u64,
-    streams: &StreamSet,
-    ingest: IngestMode,
-) -> ScenarioReport {
-    let t = streams.streams.len();
-    assert!(t > 0, "need at least one party");
+/// One set-expression query answered by the referee, scored against the
+/// exact oracle.
+#[derive(Clone, Debug)]
+pub struct ExpressionQueryOutcome {
+    /// The expression, rendered (leaves are party ids, e.g. `(s0 ∪ s1)`).
+    pub expr: String,
+    /// Nesting depth of the expression tree (a leaf has depth 1).
+    pub depth: usize,
+    /// The referee's answer: point estimate, per-trial variance, CI.
+    pub answer: gt_core::ExpressionEstimate,
+    /// Exact cardinality of the expression over the true streams.
+    pub truth: u64,
+    /// `|estimate − truth| / (ε · |union of referenced streams|)` — the
+    /// additive error contract's yardstick; ≤ 1 means within contract.
+    /// 0 when the referenced union is empty.
+    pub scaled_error: f64,
+}
 
-    let observe_start = Instant::now();
-    let mut referee = Referee::new(config, master_seed);
-    let mut bytes_per_party = vec![0usize; t];
-    let mut party_phases = vec![PartyPhases::default(); t];
-    let mut referee_busy = std::time::Duration::ZERO;
+/// One Jaccard query between two set expressions, scored against the
+/// exact oracle.
+#[derive(Clone, Debug)]
+pub struct JaccardQueryOutcome {
+    /// The two expressions, rendered.
+    pub exprs: (String, String),
+    /// The referee's answer.
+    pub answer: gt_core::JaccardEstimate,
+    /// Exact Jaccard similarity over the true streams (0 when the true
+    /// union is empty, matching the engine's convention).
+    pub truth: f64,
+    /// `|estimate − truth|`.
+    pub abs_error: f64,
+}
 
-    match ingest {
-        IngestMode::Sequential => {
-            let mut batch: Vec<PartyMessage> = Vec::with_capacity(t);
-            for (id, stream) in streams.streams.iter().enumerate() {
-                let (msg, phases) = observe_party(id, stream, config, master_seed);
-                bytes_per_party[id] = msg.bytes();
-                party_phases[id] = phases;
-                batch.push(msg);
-            }
-            let busy_start = Instant::now();
-            for outcome in referee.receive_batch(&batch) {
-                outcome.expect("coordinated message must decode");
-            }
-            referee_busy += busy_start.elapsed();
-        }
-        IngestMode::PerPartyThreads | IngestMode::SharedConcurrent { .. } => {
-            let (tx, rx) = crossbeam::channel::unbounded::<(PartyMessage, PartyPhases)>();
-            crossbeam::scope(|scope| {
-                for (id, stream) in streams.streams.iter().enumerate() {
-                    let tx = tx.clone();
-                    scope.spawn(move |_| {
-                        tx.send(observe_party(id, stream, config, master_seed))
-                            .expect("referee hung up");
-                    });
-                }
-                drop(tx);
-                // Referee loop, pipelined: runs on this thread while
-                // party threads are still observing; exits when every
-                // sender is done. Messages that queued up while the
-                // referee was busy are drained into one batch and
-                // unioned through the tree-reduction batch path.
-                let mut batch: Vec<PartyMessage> = Vec::with_capacity(t);
-                while let Ok((msg, phases)) = rx.recv() {
-                    let busy_start = Instant::now();
-                    batch.clear();
-                    bytes_per_party[msg.party_id] = msg.bytes();
-                    party_phases[msg.party_id] = phases;
-                    batch.push(msg);
-                    while let Ok((msg, phases)) = rx.try_recv() {
-                        bytes_per_party[msg.party_id] = msg.bytes();
-                        party_phases[msg.party_id] = phases;
-                        batch.push(msg);
-                    }
-                    for outcome in referee.receive_batch(&batch) {
-                        outcome.expect("coordinated message must decode");
-                    }
-                    referee_busy += busy_start.elapsed();
-                }
-            })
-            .expect("party thread panicked");
-        }
+/// Everything measured in one batch run ([`run_batch`]).
+#[derive(Clone, Debug)]
+pub struct BatchReport {
+    /// The union estimate over the parties heard, with coverage. The
+    /// `(ε, δ)` contract covers the union of the parties heard.
+    pub partial: PartialEstimate,
+    /// Exact distinct count of the union of **all** streams.
+    pub truth: u64,
+    /// Exact distinct count of the union of the parties heard.
+    pub received_truth: u64,
+    /// `|estimate − received_truth| / received_truth` (0 when both are 0).
+    pub relative_error: f64,
+    /// Number of parties.
+    pub parties: usize,
+    /// Total items across streams.
+    pub total_items: u64,
+    /// Bytes of each party's message.
+    pub bytes_per_party: Vec<usize>,
+    /// Communication towards the referee: the party messages, plus every
+    /// higher tier's forwarded messages when a collector tree ran.
+    pub total_bytes: usize,
+    /// Per-party observe/encode timings, indexed by party id.
+    pub party_phases: Vec<PartyPhases>,
+    /// Wall time of the observe step (slowest party plus thread overhead).
+    pub observe_wall: Duration,
+    /// Referee telemetry: decode outcomes and decode/merge phase timings.
+    pub referee_telemetry: RefereeTelemetry,
+    /// Observability counters of the referee's union sketch.
+    pub union_metrics: gt_core::MetricsSnapshot,
+    /// Wall time of the deliver step plus the union estimate.
+    pub referee_time: Duration,
+    /// The collection plane's accounting — `Some` only when the spec
+    /// routed messages over a transport.
+    pub collection: Option<CollectionReport>,
+    /// One outcome per requested set expression, in request order.
+    pub queries: Vec<ExpressionQueryOutcome>,
+    /// One outcome per requested Jaccard pair, in request order.
+    pub jaccard_queries: Vec<JaccardQueryOutcome>,
+}
+
+impl BatchReport {
+    /// The union distinct estimate.
+    pub fn estimate(&self) -> f64 {
+        self.partial.estimate.value
     }
-    let observe_wall = observe_start.elapsed();
 
-    let estimate_start = Instant::now();
-    let estimate = referee.estimate_distinct().value;
-    let referee_time = referee_busy + estimate_start.elapsed();
+    /// Items per second across all parties during the observe step.
+    pub fn throughput(&self) -> f64 {
+        per_sec(self.total_items, self.observe_wall)
+    }
 
-    let oracle = StreamOracle::of_streams(streams.streams.iter().map(|s| s.as_slice()));
-    let truth = oracle.distinct();
-    let relative_error = gt_core::relative_error(estimate, truth as f64);
+    /// The slowest party's observe time (the critical path of the
+    /// observe step, net of thread-spawn overhead).
+    pub fn max_party_observe(&self) -> Duration {
+        self.party_phases
+            .iter()
+            .map(|p| p.observe)
+            .max()
+            .unwrap_or(Duration::ZERO)
+    }
 
-    ScenarioReport {
-        estimate,
-        truth,
-        relative_error,
-        parties: t,
-        total_items: streams.total_items(),
-        total_bytes: bytes_per_party.iter().sum(),
-        bytes_per_party,
-        party_phases,
-        observe_wall,
-        referee_telemetry: *referee.telemetry(),
-        union_metrics: referee.union_metrics(),
-        referee_time,
+    /// Total time parties spent encoding messages.
+    pub fn total_encode(&self) -> Duration {
+        self.party_phases.iter().map(|p| p.encode).sum()
     }
 }
 
@@ -764,148 +722,173 @@ pub(crate) fn tree_fanout_for_depth(parties: usize, depth: usize) -> usize {
     fanout
 }
 
-/// Tree engine: serial observation, then hierarchical aggregation
-/// through intermediate collectors ([`crate::topology::aggregate_tree`])
-/// with the fan-out derived from the requested depth; the referee
-/// receives the single root message. The union — and therefore the
-/// estimate — is bitwise identical to the flat classic engine on the
-/// same seed (the tree reassociation is lossless), which
-/// `tree_union_is_bitwise_identical_to_flat` pins.
-pub(crate) fn run_tree_engine(
+/// Run a batch-load spec on `streams` (one per party) in the paper's
+/// one-shot model, in three steps:
+///
+/// 1. **Observe.** One thread per party observes its stream and finishes
+///    one message; the threads are joined in party-id order.
+/// 2. **Deliver.** Exactly one route, chosen by the spec: with a tree
+///    depth, [`crate::topology::aggregate_tree`] at the derived fan-out
+///    and the root message to the referee (the union is bitwise
+///    identical to flat delivery); with a transport,
+///    [`Collector::collect`] over that channel under the spec's
+///    [`RetryPolicy`]; otherwise `receive_batch` of all messages.
+/// 3. **Answer.** The union estimate over the parties heard, plus each
+///    expression and Jaccard query, all scored against the exact oracle.
+///
+/// Query leaves are **party ids**, i.e. indices into `streams.streams`.
+///
+/// ```
+/// use gt_core::SketchConfig;
+/// use gt_streams::{run_batch, ScenarioSpec};
+/// let spec = ScenarioSpec::builder("doc").parties(4).overlap(0.5).build();
+/// let streams = spec.workload.to_workload_spec(4).generate();
+/// let config = SketchConfig::new(0.1, 0.05).unwrap();
+/// let report = run_batch(&config, 99, &spec, &streams);
+/// assert!(report.relative_error < 0.1);
+/// assert_eq!(report.bytes_per_party.len(), 4);
+/// ```
+///
+/// # Panics
+/// Panics on an invalid spec (see [`ScenarioBuilder::build`]), a spec
+/// that is not batch load with [`IngestMode::PerPartyThreads`], or a
+/// stream set without one stream per party.
+pub fn run_batch(
     config: &SketchConfig,
     master_seed: u64,
+    spec: &ScenarioSpec,
     streams: &StreamSet,
-    depth: usize,
-) -> ScenarioReport {
+) -> BatchReport {
+    validate(spec);
+    assert!(
+        matches!(spec.workload.load, LoadShape::Batch { .. })
+            && spec.topology.ingest == IngestMode::PerPartyThreads,
+        "run_batch needs batch load with per-party-thread ingest"
+    );
     let t = streams.streams.len();
-    assert!(t > 0, "need at least one party");
-    let fanout = tree_fanout_for_depth(t, depth);
+    assert_eq!(
+        t, spec.topology.parties,
+        "stream set does not match the topology"
+    );
+    let total_items = streams.total_items();
 
+    // Observe.
     let observe_start = Instant::now();
-    let (messages, party_phases): (Vec<PartyMessage>, Vec<PartyPhases>) = streams
-        .streams
-        .iter()
-        .enumerate()
-        .map(|(id, stream)| observe_party(id, stream, config, master_seed))
-        .unzip();
-    let bytes_per_party = messages.iter().map(PartyMessage::bytes).collect();
+    let (messages, party_phases): (Vec<PartyMessage>, Vec<PartyPhases>) =
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = streams
+                .streams
+                .iter()
+                .enumerate()
+                .map(|(id, stream)| {
+                    scope.spawn(move || {
+                        let mut party = Party::new(id, config, master_seed);
+                        let start = Instant::now();
+                        party.observe_stream(stream);
+                        let observe = start.elapsed();
+                        let start = Instant::now();
+                        let msg = party.finish();
+                        let encode = start.elapsed();
+                        (msg, PartyPhases { observe, encode })
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("party thread panicked"))
+                .unzip()
+        });
     let observe_wall = observe_start.elapsed();
+    let bytes_per_party: Vec<usize> = messages.iter().map(PartyMessage::bytes).collect();
+    let mut total_bytes = bytes_per_party.iter().sum();
 
-    let busy_start = Instant::now();
-    let tree = crate::topology::aggregate_tree(config, master_seed, messages, fanout)
-        .expect("coordinated messages must aggregate");
+    // Deliver.
+    let deliver_start = Instant::now();
     let mut referee = Referee::new(config, master_seed);
-    referee
-        .receive(&PartyMessage {
-            party_id: 0,
-            payload: tree.root_canonical.clone(),
-            items_observed: streams.total_items(),
-        })
-        .expect("root message must decode");
-    let estimate = referee.estimate_distinct().value;
-    let referee_time = busy_start.elapsed();
+    let mut collection = None;
+    if let Some(depth) = spec.topology.tree_depth {
+        let fanout = tree_fanout_for_depth(t, depth);
+        let tree = crate::topology::aggregate_tree(config, master_seed, messages, fanout)
+            .expect("coordinated messages must aggregate");
+        total_bytes = tree.bytes_per_tier.iter().sum();
+        referee
+            .receive(&PartyMessage {
+                party_id: 0,
+                payload: tree.root_canonical,
+                items_observed: total_items,
+            })
+            .expect("root message must decode");
+    } else if let Some(transport) = spec.faults.transport {
+        let mut collector = Collector::new(config, master_seed, transport, spec.faults.retry);
+        collection = Some(collector.collect(&messages));
+        referee = collector.into_referee();
+    } else {
+        for outcome in referee.receive_batch(&messages) {
+            outcome.expect("coordinated message must decode");
+        }
+    }
 
-    let oracle = StreamOracle::of_streams(streams.streams.iter().map(|s| s.as_slice()));
-    let truth = oracle.distinct();
-    ScenarioReport {
-        estimate,
+    // Answer.
+    let mut partial = referee.estimate_distinct_partial(t);
+    if spec.topology.tree_depth.is_some() {
+        partial.parties_heard = t; // the root message carries every party
+    }
+    let referee_time = deliver_start.elapsed();
+
+    let truth = StreamOracle::of_streams(streams.streams.iter().map(|s| s.as_slice())).distinct();
+    let received_truth = match &collection {
+        None => truth,
+        Some(c) => StreamOracle::of_streams(
+            streams
+                .streams
+                .iter()
+                .zip(&c.per_party)
+                .filter(|(_, p)| p.acked_at.is_some())
+                .map(|(s, _)| s.as_slice()),
+        )
+        .distinct(),
+    };
+    let (queries, jaccard_queries) = answer_queries(config, &referee, streams, &spec.queries);
+
+    BatchReport {
+        partial,
         truth,
-        relative_error: gt_core::relative_error(estimate, truth as f64),
+        received_truth,
+        relative_error: gt_core::relative_error(partial.estimate.value, received_truth as f64),
         parties: t,
-        total_items: streams.total_items(),
-        total_bytes: tree.bytes_per_tier.iter().sum(),
+        total_items,
         bytes_per_party,
+        total_bytes,
         party_phases,
         observe_wall,
         referee_telemetry: *referee.telemetry(),
         union_metrics: referee.union_metrics(),
         referee_time,
-    }
-}
-
-/// Resilient engine: batch observation, then the retrying collection
-/// plane over the faulty channel.
-pub(crate) fn run_resilient_engine(
-    config: &SketchConfig,
-    master_seed: u64,
-    streams: &StreamSet,
-    spec: TransportSpec,
-    policy: RetryPolicy,
-) -> ResilientReport {
-    let t = streams.streams.len();
-    assert!(t > 0, "need at least one party");
-
-    // Observation phase: one thread per party, as in the clean runner.
-    let messages: Vec<PartyMessage> = crossbeam::scope(|scope| {
-        let handles: Vec<_> = streams
-            .streams
-            .iter()
-            .enumerate()
-            .map(|(id, stream)| {
-                scope.spawn(move |_| observe_party(id, stream, config, master_seed).0)
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("party thread panicked"))
-            .collect()
-    })
-    .expect("party thread panicked");
-
-    // Collection phase: retrying plane over the faulty channel.
-    let mut collector: Collector = Collector::new(config, master_seed, spec, policy);
-    let collection = collector.collect(&messages);
-    let referee = collector.into_referee();
-    let partial = referee.estimate_distinct_partial(t);
-
-    let full_oracle = StreamOracle::of_streams(streams.streams.iter().map(|s| s.as_slice()));
-    let received_oracle = StreamOracle::of_streams(
-        streams
-            .streams
-            .iter()
-            .zip(&collection.per_party)
-            .filter(|(_, p)| p.acked_at.is_some())
-            .map(|(s, _)| s.as_slice()),
-    );
-    let full_truth = full_oracle.distinct();
-    let received_truth = received_oracle.distinct();
-
-    ResilientReport {
         collection,
-        partial,
-        full_truth,
-        received_truth,
-        error_vs_received: gt_core::relative_error(partial.estimate.value, received_truth as f64),
+        queries,
+        jaccard_queries,
     }
 }
 
-/// Expression engine: serial observation, then set-expression and
-/// Jaccard queries scored against the exact oracle.
-pub(crate) fn run_expression_engine(
+/// Answer the plan's set-expression and Jaccard queries from the
+/// referee's per-party summaries, scored against exact set algebra.
+fn answer_queries(
     config: &SketchConfig,
-    master_seed: u64,
+    referee: &Referee,
     streams: &StreamSet,
-    queries: &[SetExpr],
-    jaccard_queries: &[(SetExpr, SetExpr)],
-) -> ExpressionScenarioReport {
-    let t = streams.streams.len();
-    assert!(t > 0, "need at least one party");
-
-    let mut referee = Referee::new(config, master_seed);
-    for (id, stream) in streams.streams.iter().enumerate() {
-        let (msg, _) = observe_party(id, stream, config, master_seed);
-        referee
-            .receive(&msg)
-            .expect("coordinated message must decode");
+    plan: &QueryPlan,
+) -> (Vec<ExpressionQueryOutcome>, Vec<JaccardQueryOutcome>) {
+    if plan.expressions.is_empty() && plan.jaccard.is_empty() {
+        return (Vec::new(), Vec::new());
     }
-
     let sets: Vec<HashSet<u64>> = streams
         .streams
         .iter()
         .map(|s| s.iter().copied().collect())
         .collect();
 
-    let queries = queries
+    let queries = plan
+        .expressions
         .iter()
         .map(|expr| {
             let answer = referee.query(expr).expect("query references heard parties");
@@ -932,7 +915,8 @@ pub(crate) fn run_expression_engine(
         })
         .collect();
 
-    let jaccard_queries = jaccard_queries
+    let jaccard_queries = plan
+        .jaccard
         .iter()
         .map(|(e1, e2)| {
             let answer = referee
@@ -940,12 +924,8 @@ pub(crate) fn run_expression_engine(
                 .expect("query references heard parties");
             let s1 = e1.eval_exact(&sets).expect("oracle shares the leaves");
             let s2 = e2.eval_exact(&sets).expect("oracle shares the leaves");
-            let union = s1.union(&s2).count();
-            let truth = if union == 0 {
-                0.0
-            } else {
-                s1.intersection(&s2).count() as f64 / union as f64
-            };
+            let (shared, union) = (s1.intersection(&s2).count(), s1.union(&s2).count());
+            let truth = ratio_or(shared as u64, union as u64, 0.0);
             JaccardQueryOutcome {
                 exprs: (e1.to_string(), e2.to_string()),
                 abs_error: (answer.jaccard - truth).abs(),
@@ -955,18 +935,74 @@ pub(crate) fn run_expression_engine(
         })
         .collect();
 
-    ExpressionScenarioReport {
-        queries,
-        jaccard_queries,
-        parties: t,
-        total_items: streams.total_items(),
-        epsilon: config.epsilon(),
+    (queries, jaccard_queries)
+}
+
+// ---------------------------------------------------------------------
+// Live engine
+// ---------------------------------------------------------------------
+
+/// One mid-stream query answered while writers were still ingesting.
+#[derive(Clone, Copy, Debug)]
+pub struct LiveQuerySample {
+    /// Propagation epoch of the snapshot that served the query.
+    pub epoch: u64,
+    /// Items (duplicates included) covered by the snapshot's
+    /// prefix-union.
+    pub items_covered: u64,
+    /// The snapshot's `(ε, δ)` distinct estimate — the contract covers
+    /// the prefix-union's cardinality, not the final answer.
+    pub estimate: f64,
+    /// `items_covered` as a fraction of the full workload's items: the
+    /// live-serving analogue of [`PartialEstimate`]'s coverage.
+    pub coverage: f64,
+}
+
+/// Everything measured in one **live-query** run: writers ingest
+/// concurrently through a [`gt_core::ConcurrentSketch`] while the
+/// caller's thread answers distinct-count queries from snapshots.
+#[derive(Clone, Debug)]
+pub struct LiveQueryReport {
+    /// Queries answered from a fresh epoch, in observation order (always
+    /// ends with the final, complete epoch).
+    pub samples: Vec<LiveQuerySample>,
+    /// Total snapshot polls taken, including ones that saw no new epoch.
+    pub snapshots_taken: u64,
+    /// True iff every consecutive snapshot pair was monotone in epoch
+    /// and covered items (the protocol guarantees this).
+    pub monotone: bool,
+    /// Estimate from the final snapshot, after every writer flushed.
+    pub final_estimate: f64,
+    /// Exact distinct count of the union of all streams.
+    pub truth: u64,
+    /// `|final_estimate − truth| / truth` (0 when both are 0).
+    pub relative_error: f64,
+    /// Epoch of the final snapshot.
+    pub final_epoch: u64,
+    /// Number of writer threads (one per stream).
+    pub parties: usize,
+    /// Total items across streams.
+    pub total_items: u64,
+    /// Wall time of the whole ingest-and-serve phase.
+    pub observe_wall: Duration,
+    /// Concurrent-path counters: propagation cadence by cause, snapshot
+    /// traffic, folded writer-side sketch counters.
+    pub concurrent_metrics: gt_core::ConcurrentMetricsSnapshot,
+}
+
+impl LiveQueryReport {
+    /// Items per second across all writers during the ingest phase.
+    pub fn throughput(&self) -> f64 {
+        per_sec(self.total_items, self.observe_wall)
     }
 }
 
-/// Live engine: concurrent writers into a shared sketch, queries served
-/// from snapshots on the caller's thread the whole time.
-pub(crate) fn run_live_engine(
+/// Live engine: one writer thread per stream ingests into a shared
+/// [`gt_core::ConcurrentSketch`], propagating every `writer_threshold`
+/// items, while the caller's thread serves queries from snapshots. Each
+/// answer is an `(ε, δ)` estimate of the prefix-union its epoch covers;
+/// the final snapshot equals a sequential sketch of all streams bitwise.
+fn run_live_engine(
     config: &SketchConfig,
     master_seed: u64,
     streams: &StreamSet,
@@ -1014,11 +1050,7 @@ pub(crate) fn run_live_engine(
                     epoch: snap.epoch(),
                     items_covered: snap.items_observed(),
                     estimate: snap.estimate_distinct().value,
-                    coverage: if total_items == 0 {
-                        1.0
-                    } else {
-                        snap.items_observed() as f64 / total_items as f64
-                    },
+                    coverage: ratio_or(snap.items_observed(), total_items, 1.0),
                 });
             }
             last_epoch = snap.epoch();
@@ -1303,12 +1335,7 @@ impl E2eReport {
     /// Wall-clock ingest throughput in items per second (diagnostics;
     /// `f64::INFINITY` if the clock read zero).
     pub fn items_per_sec(&self) -> f64 {
-        let secs = self.run_wall.as_secs_f64();
-        if secs == 0.0 {
-            f64::INFINITY
-        } else {
-            self.total_items as f64 / secs
-        }
+        per_sec(self.total_items, self.run_wall)
     }
 
     /// Offered load in items per virtual tick (deterministic).
@@ -1785,6 +1812,16 @@ fn ratio_or(num: u64, den: u64, empty: f64) -> f64 {
         empty
     } else {
         num as f64 / den as f64
+    }
+}
+
+/// `items` per second of `wall` (`f64::INFINITY` if the clock read zero).
+fn per_sec(items: u64, wall: Duration) -> f64 {
+    let secs = wall.as_secs_f64();
+    if secs == 0.0 {
+        f64::INFINITY
+    } else {
+        items as f64 / secs
     }
 }
 
@@ -2507,10 +2544,10 @@ mod tests {
     #[test]
     fn dispatch_routes_by_spec_shape() {
         let config = cfg();
-        let classic = ScenarioSpec::builder("c").parties(2).batch(500).build();
+        let direct = ScenarioSpec::builder("c").parties(2).batch(500).build();
         assert!(matches!(
-            run_spec(&config, 1, &classic),
-            ScenarioOutcome::Classic(_)
+            run_spec(&config, 1, &direct),
+            ScenarioOutcome::Batch(r) if r.collection.is_none() && r.queries.is_empty()
         ));
         let resilient = ScenarioSpec::builder("r")
             .parties(2)
@@ -2519,7 +2556,7 @@ mod tests {
             .build();
         assert!(matches!(
             run_spec(&config, 1, &resilient),
-            ScenarioOutcome::Resilient(_)
+            ScenarioOutcome::Batch(r) if r.collection.is_some()
         ));
         let expr = ScenarioSpec::builder("e")
             .parties(2)
@@ -2528,7 +2565,7 @@ mod tests {
             .build();
         assert!(matches!(
             run_spec(&config, 1, &expr),
-            ScenarioOutcome::Expression(_)
+            ScenarioOutcome::Batch(r) if r.queries.len() == 1
         ));
         let live = ScenarioSpec::builder("l")
             .parties(2)
@@ -2549,29 +2586,6 @@ mod tests {
             run_spec(&config, 1, &sustained),
             ScenarioOutcome::Sustained(_)
         ));
-    }
-
-    #[test]
-    fn sequential_ingest_matches_threaded_state() {
-        let spec = ScenarioSpec::builder("seq")
-            .parties(4)
-            .distinct_per_party(2_000)
-            .batch(5_000)
-            .ingest(IngestMode::Sequential)
-            .build();
-        let config = cfg();
-        let streams = spec.workload.to_workload_spec(4).generate();
-        let seq = run_classic_engine(&config, 3, &streams, IngestMode::Sequential);
-        let thr = run_classic_engine(&config, 3, &streams, IngestMode::PerPartyThreads);
-        assert_eq!(seq.estimate, thr.estimate);
-        assert_eq!(seq.truth, thr.truth);
-        assert_eq!(seq.total_bytes, thr.total_bytes);
-        assert_eq!(
-            seq.referee_telemetry.accepted,
-            thr.referee_telemetry.accepted
-        );
-        // Sequential mode is one batch, always.
-        assert_eq!(seq.referee_telemetry.batches, 1);
     }
 
     #[test]
@@ -2621,7 +2635,7 @@ mod tests {
     };
 
     #[test]
-    #[should_panic(expected = "batch engines are exclusive")]
+    #[should_panic(expected = "batch knobs are exclusive")]
     fn expression_queries_with_a_transport_panic() {
         let _ = batch_with_expr()
             .transport(TransportSpec::reliable(1))
@@ -2629,19 +2643,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "batch engines are exclusive")]
+    #[should_panic(expected = "batch knobs are exclusive")]
     fn expression_queries_with_concurrent_ingest_panic() {
         let _ = batch_with_expr().ingest(CONCURRENT).build();
     }
 
     #[test]
-    #[should_panic(expected = "batch engines are exclusive")]
+    #[should_panic(expected = "batch knobs are exclusive")]
     fn expression_queries_with_a_tree_depth_panic() {
         let _ = batch_with_expr().tree_depth(2).build();
     }
 
     #[test]
-    #[should_panic(expected = "batch engines are exclusive")]
+    #[should_panic(expected = "batch knobs are exclusive")]
     fn jaccard_queries_with_a_transport_panic() {
         let _ = batch_with_jaccard()
             .transport(TransportSpec::reliable(1))
@@ -2649,19 +2663,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "batch engines are exclusive")]
+    #[should_panic(expected = "batch knobs are exclusive")]
     fn jaccard_queries_with_concurrent_ingest_panic() {
         let _ = batch_with_jaccard().ingest(CONCURRENT).build();
     }
 
     #[test]
-    #[should_panic(expected = "batch engines are exclusive")]
+    #[should_panic(expected = "batch knobs are exclusive")]
     fn jaccard_queries_with_a_tree_depth_panic() {
         let _ = batch_with_jaccard().tree_depth(2).build();
     }
 
     #[test]
-    #[should_panic(expected = "batch engines are exclusive")]
+    #[should_panic(expected = "batch knobs are exclusive")]
     fn tree_depth_with_a_transport_panics() {
         let _ = ScenarioSpec::builder("bad")
             .tree_depth(2)
@@ -2670,7 +2684,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "batch engines are exclusive")]
+    #[should_panic(expected = "batch knobs are exclusive")]
     fn tree_depth_with_concurrent_ingest_panics() {
         let _ = ScenarioSpec::builder("bad")
             .tree_depth(2)
@@ -2679,7 +2693,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "batch engines are exclusive")]
+    #[should_panic(expected = "batch knobs are exclusive")]
     fn concurrent_ingest_with_a_transport_panics() {
         let _ = ScenarioSpec::builder("bad")
             .ingest(CONCURRENT)
@@ -2700,6 +2714,27 @@ mod tests {
     #[should_panic(expected = "window queries need sustained load")]
     fn window_query_on_batch_load_panics() {
         let _ = ScenarioSpec::builder("bad").query_window(10).build();
+    }
+
+    #[test]
+    #[should_panic(expected = "the delta plane needs sustained load")]
+    fn delta_plane_on_batch_load_panics() {
+        let _ = ScenarioSpec::builder("bad").delta_plane().build();
+    }
+
+    #[test]
+    #[should_panic(expected = "churn needs sustained load")]
+    fn churn_on_batch_load_panics() {
+        let _ = ScenarioSpec::builder("bad").parties(2).crash(1, 10).build();
+    }
+
+    #[test]
+    #[should_panic(expected = "shared-concurrent ingest applies to batch load only")]
+    fn concurrent_ingest_on_sustained_load_panics() {
+        let _ = ScenarioSpec::builder("bad")
+            .sustained(1, 10, 5)
+            .ingest(CONCURRENT)
+            .build();
     }
 
     #[test]
@@ -2732,7 +2767,7 @@ mod tests {
         // Same workload seed, both at full coverage: the final unions
         // hold the same samples at the same levels, so the estimates are
         // bit-for-bit equal. (Canonical bytes differ only in per-trial
-        // item counters: the classic engine absorb-merges every cumulative
+        // item counters: full re-ship absorb-merges every cumulative
         // re-ship while the delta plane stays exactly-once; the engine's
         // built-in oracle covers the bitwise claim against a fresh ship.)
         assert_eq!(delta.item_coverage, 1.0);
@@ -2827,7 +2862,7 @@ mod tests {
 
     // ---- the paper's one-shot model over a faulty channel ----
     //
-    // The resilient engine with `RetryPolicy::one_shot()` is the paper's
+    // Batch delivery over a transport with `RetryPolicy::one_shot()` is the paper's
     // one-message-per-party model under loss and corruption. Corruption
     // is detected, never absorbed; loss degrades the answer predictably
     // (the estimate still covers the received union).
@@ -2845,7 +2880,7 @@ mod tests {
 
     /// One message per party over a unit-latency channel with the given
     /// drop and corruption rates (ε=0.1, δ=0.05, master seed 7).
-    fn one_shot(streams: &StreamSet, drop: f64, corrupt: f64, seed: u64) -> ResilientReport {
+    fn one_shot(streams: &StreamSet, drop: f64, corrupt: f64, seed: u64) -> BatchReport {
         let spec = ScenarioSpec::builder("one_shot")
             .from_workload(&streams.spec)
             .transport(TransportSpec {
@@ -2859,18 +2894,18 @@ mod tests {
             })
             .retry(RetryPolicy::one_shot())
             .build();
-        let config = SketchConfig::new(0.1, 0.05).unwrap();
-        match run_spec_on(&config, 7, &spec, Some(streams)) {
-            ScenarioOutcome::Resilient(report) => report,
-            other => panic!("expected a resilient outcome, got {other:?}"),
-        }
+        run_batch(&SketchConfig::new(0.1, 0.05).unwrap(), 7, &spec, streams)
+    }
+
+    fn collection(r: &BatchReport) -> &CollectionReport {
+        r.collection.as_ref().expect("a transport ran")
     }
 
     /// Per-party fates `(delivered, dropped, rejected)`, scanned from the
     /// channel's per-attempt record.
-    fn scanned_fates(r: &ResilientReport) -> (usize, usize, usize) {
-        let per_party = &r.collection.per_party;
-        let delivered = r.collection.parties_acked();
+    fn scanned_fates(r: &BatchReport) -> (usize, usize, usize) {
+        let per_party = &collection(r).per_party;
+        let delivered = collection(r).parties_acked();
         let dropped = per_party
             .iter()
             .filter(|p| p.acked_at.is_none() && p.last_fate == Some(SendFate::Dropped))
@@ -2880,8 +2915,8 @@ mod tests {
 
     /// Fate counts from their authorities: accepts and rejects from the
     /// referee telemetry, drops from the channel telemetry.
-    fn authority_fates(r: &ResilientReport) -> (usize, usize, usize) {
-        let c = &r.collection;
+    fn authority_fates(r: &BatchReport) -> (usize, usize, usize) {
+        let c = collection(r);
         (
             c.referee.accepted,
             c.transport.dropped,
@@ -2892,10 +2927,9 @@ mod tests {
     #[test]
     fn no_faults_is_the_clean_scenario() {
         let r = one_shot(&faulty_workload().generate(), 0.0, 0.0, 1);
-        assert_eq!(r.collection.parties_acked(), 10);
-        assert_eq!(r.union_completeness(), 1.0);
-        assert_eq!(r.received_truth, r.full_truth);
-        assert!(r.error_vs_received < 0.1);
+        assert_eq!(collection(&r).parties_acked(), 10);
+        assert_eq!(r.received_truth, r.truth);
+        assert!(r.relative_error < 0.1);
     }
 
     #[test]
@@ -2903,10 +2937,10 @@ mod tests {
         let r = one_shot(&faulty_workload().generate(), 0.4, 0.0, 2);
         assert!(scanned_fates(&r).1 > 0, "seed should drop someone");
         // The estimate still honors the contract w.r.t. what arrived...
-        assert!(r.error_vs_received < 0.1, "err {}", r.error_vs_received);
+        assert!(r.relative_error < 0.1, "err {}", r.relative_error);
         // ...and the shortfall is real but bounded by the private shares.
-        assert!(r.union_completeness() < 1.0);
-        assert!(r.received_truth < r.full_truth);
+        assert!(!r.partial.is_complete());
+        assert!(r.received_truth < r.truth);
     }
 
     #[test]
@@ -2916,17 +2950,16 @@ mod tests {
         // Almost every flip lands in validated content; a rare flip in the
         // items-observed varint is benign and delivered.
         assert!(rejected >= 8, "rejected only {rejected}/10");
-        assert!(r.error_vs_received < 0.1);
+        assert!(r.relative_error < 0.1);
     }
 
     #[test]
     fn all_messages_lost_yields_zero_estimate() {
         let r = one_shot(&faulty_workload().generate(), 1.0, 0.0, 4);
-        assert_eq!(r.partial.estimate.value, 0.0);
+        assert_eq!(r.estimate(), 0.0);
         assert_eq!(r.received_truth, 0);
-        assert_eq!(r.union_completeness(), 0.0);
-        assert_eq!(r.error_vs_received, 0.0);
-        assert_eq!(r.collection.transport.dropped, 10);
+        assert_eq!(r.relative_error, 0.0);
+        assert_eq!(collection(&r).transport.dropped, 10);
     }
 
     #[test]
@@ -2959,7 +2992,7 @@ mod tests {
         };
         for seed in 0..16 {
             let r = one_shot(&streams, 0.0, 1.0, seed);
-            assert_eq!(r.collection.per_party.len(), 2);
+            assert_eq!(collection(&r).per_party.len(), 2);
             // However the flips land, accounting must stay consistent.
             let (delivered, _, rejected) = authority_fates(&r);
             assert_eq!(delivered + rejected, 2);
@@ -2972,15 +3005,15 @@ mod tests {
         let a = one_shot(&streams, 0.3, 0.3, 5);
         let b = one_shot(&streams, 0.3, 0.3, 5);
         assert_eq!(scanned_fates(&a), scanned_fates(&b));
-        let fates = |r: &ResilientReport| -> Vec<_> {
-            r.collection
+        let fates = |r: &BatchReport| -> Vec<_> {
+            collection(r)
                 .per_party
                 .iter()
                 .map(|p| (p.acked_at.is_some(), p.last_fate))
                 .collect()
         };
         assert_eq!(fates(&a), fates(&b));
-        assert_eq!(a.partial.estimate.value, b.partial.estimate.value);
+        assert_eq!(a.estimate(), b.estimate());
     }
 
     // ---- tree-depth knob ----
@@ -3026,10 +3059,9 @@ mod tests {
     }
 
     #[test]
-    fn tree_depth_spec_matches_flat_classic_run() {
+    fn tree_depth_spec_matches_flat_delivery() {
         let base = ScenarioSpec::builder("flat")
             .parties(6)
-            .ingest(IngestMode::Sequential)
             .distinct_per_party(400)
             .overlap(0.25)
             .workload_seed(9)
@@ -3037,7 +3069,6 @@ mod tests {
             .build();
         let tree = ScenarioSpec::builder("tree")
             .parties(6)
-            .ingest(IngestMode::Sequential)
             .tree_depth(2)
             .distinct_per_party(400)
             .overlap(0.25)
@@ -3046,10 +3077,207 @@ mod tests {
             .build();
         let (flat_rep, tree_rep) = match (run_spec(&cfg(), 42, &base), run_spec(&cfg(), 42, &tree))
         {
-            (ScenarioOutcome::Classic(a), ScenarioOutcome::Classic(b)) => (a, b),
-            other => panic!("expected classic outcomes, got {other:?}"),
+            (ScenarioOutcome::Batch(a), ScenarioOutcome::Batch(b)) => (a, b),
+            other => panic!("expected batch outcomes, got {other:?}"),
         };
-        assert_eq!(flat_rep.estimate.to_bits(), tree_rep.estimate.to_bits());
+        assert_eq!(flat_rep.estimate().to_bits(), tree_rep.estimate().to_bits());
         assert_eq!(flat_rep.truth, tree_rep.truth);
+        // The root message stands for every party.
+        assert!(tree_rep.partial.is_complete());
+        assert_eq!(tree_rep.referee_telemetry.accepted, 1);
+        assert!(tree_rep.total_bytes > tree_rep.bytes_per_party.iter().sum::<usize>());
+    }
+
+    // ---- batch runs through `run_batch` ----
+
+    fn batch_of(workload: &WorkloadSpec) -> (ScenarioSpec, StreamSet) {
+        let spec = ScenarioSpec::builder("batch")
+            .from_workload(workload)
+            .build();
+        (spec, workload.generate())
+    }
+
+    #[test]
+    fn batch_report_carries_phase_timings_and_telemetry() {
+        let (spec, streams) = batch_of(&WorkloadSpec {
+            parties: 4,
+            distinct_per_party: 3_000,
+            overlap: 0.4,
+            items_per_party: 10_000,
+            distribution: Distribution::Uniform,
+            seed: 14,
+        });
+        let report = run_batch(&cfg(), 21, &spec, &streams);
+        assert_eq!(report.total_items, 4 * 10_000);
+        assert!(report.partial.is_complete());
+        assert_eq!(report.received_truth, report.truth);
+        assert!(report.bytes_per_party.iter().all(|&b| b > 0));
+        assert_eq!(
+            report.total_bytes,
+            report.bytes_per_party.iter().sum::<usize>()
+        );
+        // Phase *ordering* invariants only — strict `> Duration::ZERO`
+        // checks are flaky on platforms whose monotonic clock is coarser
+        // than a fast decode, so positivity is not asserted here (counts
+        // below prove the stages ran).
+        assert_eq!(report.party_phases.len(), 4);
+        assert!(report.max_party_observe() <= report.observe_wall);
+        assert!(report.total_encode() <= report.observe_wall * 4);
+        // Referee telemetry accounts for every message, by stage.
+        let t = report.referee_telemetry;
+        assert_eq!(t.accepted, 4);
+        assert_eq!(t.rejected(), 0);
+        assert_eq!(t.duplicates(), 0);
+        assert_eq!(t.attempts(), 4);
+        assert!(t.decode_time + t.merge_time <= report.referee_time);
+        // All messages reach the referee as one batch, unioned by one
+        // tree-reduction merge.
+        assert_eq!(t.batches, 1);
+        assert_eq!(t.summaries_per_batch.iter().sum::<usize>(), t.batches);
+        assert_eq!(report.union_metrics.merge_calls, 1);
+        assert!(report.union_metrics.merge_entries_absorbed > 0);
+    }
+
+    #[test]
+    fn single_party_batch_run_is_exact_under_capacity() {
+        let (spec, streams) = batch_of(&WorkloadSpec {
+            parties: 1,
+            distinct_per_party: 1_000,
+            overlap: 0.0,
+            items_per_party: 2_000,
+            distribution: Distribution::Uniform,
+            seed: 12,
+        });
+        let report = run_batch(&cfg(), 5, &spec, &streams);
+        assert_eq!(report.relative_error, 0.0);
+        assert_eq!(report.estimate(), report.truth as f64);
+    }
+
+    #[test]
+    fn expression_queries_answer_within_contract() {
+        let (a, b, c, d) = (
+            SetExpr::leaf(0),
+            SetExpr::leaf(1),
+            SetExpr::leaf(2),
+            SetExpr::leaf(3),
+        );
+        let workload = WorkloadSpec {
+            parties: 4,
+            distinct_per_party: 8_000,
+            overlap: 0.5,
+            items_per_party: 16_000,
+            distribution: Distribution::Uniform,
+            seed: 41,
+        };
+        let spec = ScenarioSpec::builder("expression")
+            .from_workload(&workload)
+            .query_expr(a.clone().union(b.clone()))
+            .query_expr(a.clone().union(b.clone()).intersect(c.clone()))
+            .query_expr(
+                a.clone()
+                    .union(b.clone())
+                    .intersect(c.clone())
+                    .difference(d.clone()),
+            )
+            .query_jaccard(a.clone().union(b.clone()), c.clone().difference(a.clone()))
+            .build();
+        let config = SketchConfig::new(0.1, 0.05).unwrap();
+        let report = run_batch(&config, 61, &spec, &workload.generate());
+
+        assert_eq!(report.parties, 4);
+        assert_eq!(report.queries.len(), 3);
+        assert_eq!(report.queries[0].depth, 2);
+        assert_eq!(report.queries[2].depth, 4);
+        for q in &report.queries {
+            // Additive contract with slack for the intersection queries
+            // (differences of coordinated estimates compound the bound).
+            assert!(
+                q.scaled_error <= 3.0,
+                "{} scaled error {}",
+                q.expr,
+                q.scaled_error
+            );
+            assert!(q.answer.ci_lower() <= q.answer.ci_upper());
+        }
+        assert_eq!(report.jaccard_queries.len(), 1);
+        let j = &report.jaccard_queries[0];
+        assert!(j.truth > 0.0 && j.truth < 1.0, "truth {}", j.truth);
+        assert!(j.abs_error < 0.15, "jaccard err {}", j.abs_error);
+    }
+
+    // ---- live engine ----
+
+    fn live_query(
+        config: &SketchConfig,
+        master_seed: u64,
+        workload: &WorkloadSpec,
+        writer_threshold: u64,
+    ) -> LiveQueryReport {
+        let spec = ScenarioSpec::builder("live")
+            .from_workload(workload)
+            .ingest(IngestMode::SharedConcurrent { writer_threshold })
+            .build();
+        match run_spec(config, master_seed, &spec) {
+            ScenarioOutcome::Live(report) => *report,
+            other => panic!("expected a live outcome, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn live_query_run_serves_monotone_valid_estimates() {
+        let workload = WorkloadSpec {
+            parties: 4,
+            distinct_per_party: 4_000,
+            overlap: 0.5,
+            items_per_party: 12_000,
+            distribution: Distribution::Uniform,
+            seed: 23,
+        };
+        let config = SketchConfig::new(0.1, 0.05).unwrap();
+        let report = live_query(&config, 55, &workload, 1_000);
+
+        assert_eq!(report.parties, 4);
+        assert_eq!(report.total_items, 4 * 12_000);
+        assert!(report.monotone, "snapshots regressed");
+        assert!(report.relative_error < 0.1, "err {}", report.relative_error);
+        // The query loop polls at least once and always records the final
+        // complete epoch as its last sample.
+        assert!(report.snapshots_taken >= 1);
+        let last = report.samples.last().expect("final epoch always sampled");
+        assert_eq!(last.epoch, report.final_epoch);
+        assert_eq!(last.items_covered, report.total_items);
+        assert_eq!(last.coverage, 1.0);
+        assert_eq!(last.estimate, report.final_estimate);
+        // Coverage and epochs are nondecreasing across samples.
+        for pair in report.samples.windows(2) {
+            assert!(pair[1].epoch > pair[0].epoch);
+            assert!(pair[1].items_covered >= pair[0].items_covered);
+        }
+        // 48k items at threshold 1k must propagate many times, and every
+        // propagated item is accounted for.
+        let m = report.concurrent_metrics;
+        assert!(m.propagations() >= 48, "{m:?}");
+        assert_eq!(m.items_propagated, report.total_items);
+        assert!(m.snapshot_reads >= report.snapshots_taken);
+        assert_eq!(
+            m.writer.trial_inserts(),
+            report.total_items * config.trials() as u64
+        );
+    }
+
+    #[test]
+    fn live_query_single_writer_is_exact_under_capacity() {
+        let workload = WorkloadSpec {
+            parties: 1,
+            distinct_per_party: 900,
+            overlap: 0.0,
+            items_per_party: 1_800,
+            distribution: Distribution::Uniform,
+            seed: 31,
+        };
+        let report = live_query(&cfg(), 5, &workload, 250);
+        assert_eq!(report.relative_error, 0.0); // under capacity → exact
+        assert_eq!(report.final_estimate, report.truth as f64);
+        assert!(report.monotone);
     }
 }

@@ -12,7 +12,9 @@
 //! Run with: `cargo run --release --example network_monitoring`
 
 use gt_sketch::streams::party::Party;
-use gt_sketch::streams::{run_scenario, Distribution, Referee, StreamOracle, WorkloadSpec};
+use gt_sketch::streams::{
+    run_batch, Distribution, Referee, ScenarioSpec, StreamOracle, WorkloadSpec,
+};
 use gt_sketch::SketchConfig;
 
 fn main() {
@@ -32,7 +34,10 @@ fn main() {
     let master_seed = 0x5EED;
 
     println!("== observation phase (one thread per monitor) ==");
-    let report = run_scenario(&config, master_seed, &traffic);
+    let scenario = ScenarioSpec::builder("network_monitoring")
+        .from_workload(&spec)
+        .build();
+    let report = run_batch(&config, master_seed, &scenario, &traffic);
     println!(
         "monitors: {}   packets: {}   throughput: {:.1} M packets/s",
         report.parties,
@@ -42,7 +47,7 @@ fn main() {
 
     println!("\n== collector ==");
     println!("distinct flows (truth):    {}", report.truth);
-    println!("distinct flows (sketch):   {:.0}", report.estimate);
+    println!("distinct flows (sketch):   {:.0}", report.estimate());
     println!(
         "relative error:            {:.2}%",
         report.relative_error * 100.0
@@ -77,7 +82,7 @@ fn main() {
     );
 
     // --- Incremental collection with explicit messages ------------------
-    // The runner hides the plumbing; here is the same flow by hand, e.g.
+    // `run_batch` hides the plumbing; here is the same flow by hand, e.g.
     // for integrating with a real transport.
     println!("\n== manual party/referee wiring ==");
     let mut referee = Referee::new(&config, master_seed);

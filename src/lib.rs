@@ -18,7 +18,7 @@
 //! * [`ShardedSketch`] and [`parallel`] — multicore ingestion with
 //!   bit-identical results to sequential processing.
 //! * A full distributed-streams runtime ([`streams`]): parties, referee,
-//!   byte-counted wire codec, workload generators, scenario runner.
+//!   byte-counted wire codec, workload generators, scenario harness.
 //! * A keyed multi-tenant sketch store ([`store`]): millions of per-key
 //!   sketches behind one sharded ingest path, with arena-packed state,
 //!   hot-key front caches, and LRU eviction to an on-disk spill log.

@@ -57,34 +57,16 @@ fn referee_counts(t: &RefereeTelemetry) -> [usize; 3] {
     [t.accepted, t.rejected(), t.duplicates()]
 }
 
-/// Reads a run's outcome into its [`Witness`].
+/// Reads a run's outcome into its [`Witness`]. Expression cells pin
+/// their answers, transport cells their collection, and the rest their
+/// union and byte accounting — the sections each cell's report carried
+/// when the pins were recorded.
 fn witness(outcome: ScenarioOutcome) -> Witness {
-    match outcome {
-        ScenarioOutcome::Classic(r) => Witness {
-            estimate_bits: Some(r.estimate.to_bits()),
-            truth: Some(r.truth),
-            bytes_per_party: Some(r.bytes_per_party),
-            total_bytes: Some(r.total_bytes),
-            referee: Some(referee_counts(&r.referee_telemetry)),
-            ..Witness::default()
-        },
-        ScenarioOutcome::Resilient(r) => Witness {
-            estimate_bits: Some(r.partial.estimate.value.to_bits()),
-            truth: Some(r.full_truth),
-            received_truth: Some(r.received_truth),
-            referee: Some(referee_counts(&r.collection.referee)),
-            collection: Some((
-                r.collection.rounds,
-                r.collection.retransmits,
-                r.collection
-                    .per_party
-                    .iter()
-                    .map(|p| (p.sends, p.last_fate, p.acked_at))
-                    .collect(),
-            )),
-            ..Witness::default()
-        },
-        ScenarioOutcome::Expression(r) => Witness {
+    let ScenarioOutcome::Batch(r) = outcome else {
+        panic!("expected a batch outcome, got {outcome:?}");
+    };
+    if !r.queries.is_empty() || !r.jaccard_queries.is_empty() {
+        return Witness {
             answers: Some((
                 r.queries
                     .iter()
@@ -102,8 +84,33 @@ fn witness(outcome: ScenarioOutcome) -> Witness {
                     .collect(),
             )),
             ..Witness::default()
+        };
+    }
+    let referee = Some(referee_counts(&r.referee_telemetry));
+    match &r.collection {
+        Some(c) => Witness {
+            estimate_bits: Some(r.estimate().to_bits()),
+            truth: Some(r.truth),
+            received_truth: Some(r.received_truth),
+            referee,
+            collection: Some((
+                c.rounds,
+                c.retransmits,
+                c.per_party
+                    .iter()
+                    .map(|p| (p.sends, p.last_fate, p.acked_at))
+                    .collect(),
+            )),
+            ..Witness::default()
         },
-        other => panic!("expected a batch outcome, got {other:?}"),
+        None => Witness {
+            estimate_bits: Some(r.estimate().to_bits()),
+            truth: Some(r.truth),
+            bytes_per_party: Some(r.bytes_per_party.clone()),
+            total_bytes: Some(r.total_bytes),
+            referee,
+            ..Witness::default()
+        },
     }
 }
 

@@ -8,10 +8,19 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use gt_sketch::streams::{
-    collect_once, encode_sketch, run_scenario, Distribution, Party, PartyMessage, Receipt, Referee,
-    RefereeOf, RetryPolicy, StreamOracle, TransportSpec, WorkloadSpec,
+    collect_once, encode_sketch, run_batch, BatchReport, Distribution, Party, PartyMessage,
+    Receipt, Referee, RefereeOf, RetryPolicy, ScenarioSpec, StreamOracle, StreamSet, TransportSpec,
+    WorkloadSpec,
 };
 use gt_sketch::SketchConfig;
+
+/// One batch run of `streams`: parties on threads, direct delivery.
+fn run_direct(config: &SketchConfig, master_seed: u64, streams: &StreamSet) -> BatchReport {
+    let spec = ScenarioSpec::builder("distributed_union")
+        .from_workload(&streams.spec)
+        .build();
+    run_batch(config, master_seed, &spec, streams)
+}
 
 fn spec(parties: usize, overlap: f64, dist: Distribution) -> WorkloadSpec {
     WorkloadSpec {
@@ -29,12 +38,12 @@ fn union_estimate_accurate_across_overlap_sweep() {
     let config = SketchConfig::new(0.1, 0.05).unwrap();
     for overlap in [0.0, 0.25, 0.5, 0.75, 1.0] {
         let streams = spec(6, overlap, Distribution::Uniform).generate();
-        let report = run_scenario(&config, 0xA1, &streams);
+        let report = run_direct(&config, 0xA1, &streams);
         assert!(
             report.relative_error < 0.1,
             "overlap {overlap}: error {} (est {} truth {})",
             report.relative_error,
-            report.estimate,
+            report.estimate(),
             report.truth
         );
     }
@@ -54,13 +63,13 @@ fn accuracy_is_insensitive_to_skew() {
         Distribution::Zipf(1.5),
     ] {
         let streams = spec(4, 0.5, dist).generate();
-        let report = run_scenario(&config, 0xA2, &streams);
+        let report = run_direct(&config, 0xA2, &streams);
         assert!(
             report.relative_error < 0.1,
             "{dist:?}: {}",
             report.relative_error
         );
-        estimates.push((dist, report.estimate, report.truth));
+        estimates.push((dist, report.estimate(), report.truth));
     }
     // All runs share seed + universe structure; the distinct sets differ
     // only by which labels the draws happened to touch.
@@ -80,8 +89,8 @@ fn communication_independent_of_stream_length() {
         items_per_party: 600_000,
         ..short
     };
-    let r_short = run_scenario(&config, 0xA3, &short.generate());
-    let r_long = run_scenario(&config, 0xA3, &long.generate());
+    let r_short = run_direct(&config, 0xA3, &short.generate());
+    let r_long = run_direct(&config, 0xA3, &long.generate());
     // 10× the items; bytes may differ only marginally (longer streams
     // touch more of the universe and items_observed varints grow).
     let ratio = r_long.total_bytes as f64 / r_short.total_bytes as f64;
@@ -122,7 +131,7 @@ fn naive_per_party_sum_overcounts_but_union_does_not() {
         sk.extend_labels(s.iter().copied());
         per_party_sum += sk.estimate_distinct().value;
     }
-    let report = run_scenario(&config, 0xA4, &streams);
+    let report = run_direct(&config, 0xA4, &streams);
 
     assert!(
         per_party_sum > 6.0 * truth,
@@ -147,7 +156,7 @@ fn referee_handles_hundreds_of_parties() {
         seed: 5,
     }
     .generate();
-    let report = run_scenario(&config, 0xA5, &streams);
+    let report = run_direct(&config, 0xA5, &streams);
     assert_eq!(report.parties, 100);
     assert!(
         report.relative_error < 0.15,
@@ -382,7 +391,7 @@ fn accuracy_contract_over_many_seeds() {
     let streams = spec(4, 0.3, Distribution::Uniform).generate();
     let mut failures = 0;
     for seed in 0..25u64 {
-        let report = run_scenario(&config, 0xB000 + seed, &streams);
+        let report = run_direct(&config, 0xB000 + seed, &streams);
         if report.relative_error > 0.15 {
             failures += 1;
         }

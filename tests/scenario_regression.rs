@@ -1,16 +1,11 @@
-//! Regression pins for the runner refactor: each legacy
-//! `run_*_scenario` entry point is now a thin wrapper over a
-//! `ScenarioSpec` builder instance dispatched through
-//! `gt_streams::scenario::run_spec_on`. These tests prove the refactor
-//! is behavior-preserving by (a) re-deriving each engine's referee
-//! state independently — a hand-rolled party→referee pipeline whose
-//! canonical bytes and estimate pin the pre-refactor semantics — and
-//! (b) pinning wrapper output bitwise to the equivalent explicit
-//! builder instance run through the dispatcher.
+//! Regression pins for the batch and live engines: each re-derives an
+//! engine's referee state independently — a hand-rolled party→referee
+//! pipeline whose canonical bytes and estimate pin the one-shot model's
+//! semantics — and checks the engine, run from a `ScenarioSpec` through
+//! `gt_streams::scenario::run_spec_on`, lands on it bitwise.
 
 use gt_sketch::streams::{
-    encode_sketch, run_expression_scenario, run_live_query_scenario, run_resilient_scenario,
-    run_scenario, run_spec_on, Distribution, IngestMode, Party, Referee, RetryPolicy,
+    encode_sketch, run_spec_on, Distribution, IngestMode, Party, Referee, RetryPolicy,
     ScenarioOutcome, ScenarioSpec, TransportSpec, WorkloadSpec,
 };
 use gt_sketch::{SetExpr, SketchConfig};
@@ -26,21 +21,30 @@ fn workload(parties: usize, seed: u64) -> WorkloadSpec {
     }
 }
 
-/// The pre-refactor classic semantics, re-derived by hand: every party
-/// observes its stream with the shared master seed and ships one
-/// message; the referee unions them. Returns the canonical union bytes
-/// and the estimate — the bitwise witnesses every engine must match.
-fn hand_rolled_union(
+/// The one-shot semantics, re-derived by hand: every party observes its
+/// stream with the shared master seed and ships one message; the referee
+/// unions them. Returns the referee — its canonical union bytes and
+/// estimate are the bitwise witnesses every engine must match.
+fn hand_rolled_referee(
     config: &SketchConfig,
     master_seed: u64,
     streams: &gt_sketch::streams::StreamSet,
-) -> (bytes::Bytes, f64) {
+) -> Referee {
     let mut referee = Referee::new(config, master_seed);
     for (id, stream) in streams.streams.iter().enumerate() {
         let mut party = Party::new(id, config, master_seed);
         party.observe_stream(stream);
         referee.receive(&party.finish()).expect("clean delivery");
     }
+    referee
+}
+
+fn hand_rolled_union(
+    config: &SketchConfig,
+    master_seed: u64,
+    streams: &gt_sketch::streams::StreamSet,
+) -> (bytes::Bytes, f64) {
+    let referee = hand_rolled_referee(config, master_seed, streams);
     (
         encode_sketch(referee.union_sketch()),
         referee.estimate_distinct().value,
@@ -48,95 +52,47 @@ fn hand_rolled_union(
 }
 
 #[test]
-fn classic_wrapper_is_pinned_to_its_builder_instance() {
+fn direct_batch_run_matches_the_hand_rolled_union() {
     let config = SketchConfig::new(0.1, 0.05).unwrap();
     let streams = workload(5, 0xC1A_551C).generate();
     let (canonical, estimate) = hand_rolled_union(&config, 7, &streams);
 
-    // The legacy entry point (threaded pipeline, batched referee) must
-    // land on the same referee state: estimate compared bitwise.
-    let legacy = run_scenario(&config, 7, &streams);
-    assert_eq!(legacy.estimate.to_bits(), estimate.to_bits());
-
-    // The explicit builder instance through the dispatcher — both the
-    // threaded mode the wrapper uses and the fully deterministic
-    // sequential mode — pin the same state.
-    for ingest in [IngestMode::PerPartyThreads, IngestMode::Sequential] {
-        let spec = ScenarioSpec::builder("classic-pin")
-            .from_workload(&streams.spec)
-            .ingest(ingest)
-            .build();
-        let ScenarioOutcome::Classic(report) = run_spec_on(&config, 7, &spec, Some(&streams))
-        else {
-            panic!("classic spec must dispatch to the classic engine");
-        };
-        assert_eq!(report.estimate.to_bits(), estimate.to_bits(), "{ingest:?}");
-        assert_eq!(report.truth, legacy.truth);
-        assert_eq!(report.total_bytes, legacy.total_bytes);
-        assert_eq!(report.bytes_per_party, legacy.bytes_per_party);
-        assert_eq!(
-            report.referee_telemetry.accepted,
-            legacy.referee_telemetry.accepted
-        );
-    }
+    let spec = ScenarioSpec::builder("classic-pin")
+        .from_workload(&streams.spec)
+        .build();
+    let ScenarioOutcome::Batch(report) = run_spec_on(&config, 7, &spec, Some(&streams)) else {
+        panic!("a batch spec must run the batch engine");
+    };
+    assert_eq!(report.estimate().to_bits(), estimate.to_bits());
+    assert_eq!(report.referee_telemetry.accepted, 5);
+    assert!(report.partial.is_complete());
     assert!(!canonical.is_empty());
 }
 
 #[test]
-fn resilient_wrapper_is_pinned_to_its_builder_instance() {
+fn transport_batch_run_matches_the_hand_rolled_union() {
     let config = SketchConfig::new(0.1, 0.05).unwrap();
     let streams = workload(6, 0x2E51).generate();
-    let transport = TransportSpec {
-        jitter: 1,
-        straggle_probability: 0.0,
-        ..TransportSpec::lossy(0.3, 0xBAD5EED)
-    };
-    let policy = RetryPolicy::with_budget(5);
+    let (canonical, estimate) = hand_rolled_union(&config, 11, &streams);
 
-    let legacy = run_resilient_scenario(&config, 11, &streams, transport, policy);
+    // A reliable-channel run through the collection plane recovers the
+    // exact one-shot union.
     let spec = ScenarioSpec::builder("resilient-pin")
         .from_workload(&streams.spec)
-        .transport(transport)
-        .retry(policy)
+        .transport(TransportSpec::reliable(1))
+        .retry(RetryPolicy::one_shot())
         .build();
-    let ScenarioOutcome::Resilient(report) = run_spec_on(&config, 11, &spec, Some(&streams)) else {
-        panic!("transport spec must dispatch to the resilient engine");
+    let ScenarioOutcome::Batch(clean) = run_spec_on(&config, 11, &spec, Some(&streams)) else {
+        panic!("a transport spec must run the batch engine");
     };
-
-    // The whole collection plane runs on the seeded virtual clock, so
-    // every counter — not just the estimate — must replay bitwise.
-    assert_eq!(
-        report.partial.estimate.value.to_bits(),
-        legacy.partial.estimate.value.to_bits()
-    );
-    assert_eq!(report.partial.parties_heard, legacy.partial.parties_heard);
-    assert_eq!(report.full_truth, legacy.full_truth);
-    assert_eq!(report.received_truth, legacy.received_truth);
-    assert_eq!(report.collection.rounds, legacy.collection.rounds);
-    assert_eq!(report.collection.retransmits, legacy.collection.retransmits);
-    assert_eq!(
-        report.collection.late_arrivals,
-        legacy.collection.late_arrivals
-    );
-    assert_eq!(report.collection.transport, legacy.collection.transport);
-
-    // And against the hand-rolled reference: a reliable-channel run of
-    // the same spec recovers the exact pre-refactor union.
-    let (canonical, estimate) = hand_rolled_union(&config, 11, &streams);
-    let clean = run_resilient_scenario(
-        &config,
-        11,
-        &streams,
-        TransportSpec::reliable(1),
-        RetryPolicy::one_shot(),
-    );
     assert!(clean.partial.is_complete());
-    assert_eq!(clean.partial.estimate.value.to_bits(), estimate.to_bits());
+    assert!(clean.collection.is_some());
+    assert_eq!(clean.estimate().to_bits(), estimate.to_bits());
     assert!(!canonical.is_empty());
 }
 
 #[test]
-fn expression_wrapper_is_pinned_to_its_builder_instance() {
+fn expression_batch_run_matches_the_hand_rolled_referee() {
     let config = SketchConfig::new(0.1, 0.05).unwrap();
     let streams = workload(4, 0xE4B).generate();
     let (a, b, c) = (SetExpr::leaf(0), SetExpr::leaf(1), SetExpr::leaf(2));
@@ -144,43 +100,45 @@ fn expression_wrapper_is_pinned_to_its_builder_instance() {
         a.clone().union(b.clone()),
         a.clone().intersect(c.clone()).difference(b.clone()),
     ];
-    let jaccard = [(a.clone().union(b.clone()), c.clone())];
+    let jaccard = (a.clone().union(b.clone()), c.clone());
 
-    let legacy = run_expression_scenario(&config, 13, &streams, &queries, &jaccard);
     let spec = ScenarioSpec::builder("expression-pin")
         .from_workload(&streams.spec)
         .query_expr(queries[0].clone())
         .query_expr(queries[1].clone())
-        .query_jaccard(jaccard[0].0.clone(), jaccard[0].1.clone())
+        .query_jaccard(jaccard.0.clone(), jaccard.1.clone())
         .build();
-    let ScenarioOutcome::Expression(report) = run_spec_on(&config, 13, &spec, Some(&streams))
-    else {
-        panic!("expression queries must dispatch to the expression engine");
+    let ScenarioOutcome::Batch(report) = run_spec_on(&config, 13, &spec, Some(&streams)) else {
+        panic!("expression queries must run the batch engine");
     };
 
-    assert_eq!(report.queries.len(), legacy.queries.len());
-    for (got, want) in report.queries.iter().zip(&legacy.queries) {
-        assert_eq!(got.expr, want.expr);
+    // The answers come from the same retained per-party summaries a
+    // hand-rolled referee holds.
+    let referee = hand_rolled_referee(&config, 13, &streams);
+    assert_eq!(report.queries.len(), queries.len());
+    for (got, expr) in report.queries.iter().zip(&queries) {
+        assert_eq!(got.expr, expr.to_string());
         assert_eq!(
             got.answer.estimate.value.to_bits(),
-            want.answer.estimate.value.to_bits()
+            referee.query(expr).unwrap().estimate.value.to_bits()
         );
-        assert_eq!(got.truth, want.truth);
-        assert_eq!(got.scaled_error.to_bits(), want.scaled_error.to_bits());
     }
     assert_eq!(report.jaccard_queries.len(), 1);
     assert_eq!(
         report.jaccard_queries[0].answer.jaccard.to_bits(),
-        legacy.jaccard_queries[0].answer.jaccard.to_bits()
+        referee
+            .query_jaccard(&jaccard.0, &jaccard.1)
+            .unwrap()
+            .jaccard
+            .to_bits()
     );
 }
 
 #[test]
-fn live_wrapper_is_pinned_to_its_builder_instance() {
+fn live_run_converges_to_the_hand_rolled_sequential_union() {
     let config = SketchConfig::new(0.1, 0.05).unwrap();
     let streams = workload(4, 0x11FE).generate();
 
-    let legacy = run_live_query_scenario(&config, 17, &streams, 800);
     let spec = ScenarioSpec::builder("live-pin")
         .from_workload(&streams.spec)
         .ingest(IngestMode::SharedConcurrent {
@@ -190,21 +148,11 @@ fn live_wrapper_is_pinned_to_its_builder_instance() {
     let ScenarioOutcome::Live(report) = run_spec_on(&config, 17, &spec, Some(&streams)) else {
         panic!("shared-concurrent ingest must dispatch to the live engine");
     };
+    assert!(report.monotone);
 
-    // Mid-flight samples are schedule-shaped, but the final state is
-    // schedule-independent: interleaving-independence pins the converged
-    // estimate bitwise, and both runs must serve monotone snapshots.
-    assert_eq!(
-        report.final_estimate.to_bits(),
-        legacy.final_estimate.to_bits()
-    );
-    assert_eq!(report.truth, legacy.truth);
-    assert_eq!(report.total_items, legacy.total_items);
-    assert!(report.monotone && legacy.monotone);
-
-    // And the converged state equals the hand-rolled sequential union of
-    // the same streams under the same master seed — the invariant the
-    // pre-refactor runner asserted.
+    // Mid-flight samples are schedule-shaped, but the converged state
+    // equals the hand-rolled sequential union of the same streams under
+    // the same master seed.
     let mut sequential = gt_sketch::DistinctSketch::new(&config, 17);
     for stream in &streams.streams {
         sequential.extend_slice(stream);
