@@ -32,18 +32,32 @@
 //! snapshots do not lie on one party's timeline; callers fall back to
 //! shipping a full frame.
 //!
+//! ## Cost: O(changes), not O(summary)
+//!
+//! Neither function builds a map of, sorts or rebuilds the whole
+//! summary. [`delta_between`] probes the base trial's own sample table once per
+//! current entry and checks the prefix property **by count**: every
+//! current entry found in the base qualifies at the current level, so
+//! the base is a prefix iff the number of base entries qualifying at the
+//! current level equals the number found. At an unchanged level that
+//! count is the base's sample size, so no label's level is hashed; only
+//! a level raise (at most `O(log F₀)` times over a stream) re-hashes the base.
+//! [`apply_delta`] subsamples in place (a no-op at an unchanged level)
+//! and upserts the delta entries.
+//!
 //! The delta itself is represented as a [`GtSketch`] whose trials carry
 //! the current levels and item counters but only the difference
 //! entries. That makes it directly encodable by the canonical wire
 //! codec (every entry qualifies at its trial's level, counts fit
-//! capacity), so the delta plane reuses the codec's validation,
-//! canonical byte-string property, and fingerprinting wholesale. A
-//! delta sketch is a *transport* artifact: its own estimates are
-//! meaningless and it must only ever be fed to [`apply_delta`].
-
-use std::collections::HashMap;
-
-use gt_hash::LevelHasher;
+//! capacity), so the delta plane reuses the codec's validation and
+//! canonical byte-string property wholesale. The base a delta is coded
+//! against is named on the wire by its generation and an
+//! order-independent digest of its state (`gt_streams::state_digest`),
+//! computed in one linear pass with no encoding. A delta sketch is a
+//! *transport* artifact: its own estimates are meaningless and it must
+//! only ever be fed to [`apply_delta`] or unioned into a live union that
+//! already holds its base (`GtSketch::merge_refresh_from`), where it
+//! adds exactly what the rebuilt snapshot would.
 
 use crate::error::{Result, SketchError};
 use crate::sketch::GtSketch;
@@ -74,13 +88,16 @@ fn check_coordinated<V: Payload>(a: &GtSketch<V>, b: &GtSketch<V>) -> Result<()>
 /// [`crate::LatestTs`] refreshed by a re-arrival) are included with the
 /// current payload; [`apply_delta`] reconciles them through the
 /// canonical `stored.merge(incoming)` order.
+///
+/// Cost: one probe of the base's sample table per current entry, plus a
+/// re-hash of the base only in trials whose level rose (see the module
+/// docs on the count-based prefix check).
 pub fn delta_between<V: Payload + PartialEq>(
     base: &GtSketch<V>,
     current: &GtSketch<V>,
 ) -> Result<GtSketch<V>> {
     check_coordinated(base, current)?;
     let mut states = Vec::with_capacity(current.trials().len());
-    let mut base_map: HashMap<u64, V> = HashMap::new();
     for (b, c) in base.trials().iter().zip(current.trials()) {
         if c.level() < b.level() {
             return Err(SketchError::ConfigMismatch {
@@ -91,26 +108,32 @@ pub fn delta_between<V: Payload + PartialEq>(
                 ),
             });
         }
-        base_map.clear();
-        base_map.extend(b.sample_iter());
-        // Prefix check: a base entry that qualifies at the current level
-        // must have survived into the current sample.
-        for (&label, _) in base_map.iter() {
-            if b.hasher().level(label) >= c.level() && !c.contains_label(label) {
-                return Err(SketchError::ConfigMismatch {
-                    detail: format!(
-                        "base entry {label} qualifies at level {} but left the sample \
-                         (base is not a prefix of current)",
-                        c.level()
-                    ),
-                });
+        let mut found = 0;
+        let mut entries: Vec<(u64, V)> = Vec::new();
+        for (label, payload) in c.sample_iter() {
+            match b.payload_of(label) {
+                Some(stored) => {
+                    found += 1;
+                    if stored != payload {
+                        entries.push((label, payload));
+                    }
+                }
+                None => entries.push((label, payload)),
             }
         }
-        let mut entries: Vec<(u64, V)> = c
-            .sample_iter()
-            .filter(|(label, payload)| base_map.get(label) != Some(payload))
-            .collect();
-        entries.sort_unstable_by_key(|&(label, _)| label);
+        // Prefix check by count: every current entry found in the base
+        // qualifies at the current level, so the base entries qualifying
+        // there all survived iff there are exactly `found` of them.
+        let qualifying = b.sample_len_at(c.level());
+        if qualifying != found {
+            return Err(SketchError::ConfigMismatch {
+                detail: format!(
+                    "{qualifying} base entries qualify at level {} but only {found} remain \
+                     in the current sample (base is not a prefix of current)",
+                    c.level()
+                ),
+            });
+        }
         states.push((c.level(), c.items_observed(), entries));
     }
     GtSketch::reassemble(current.config(), current.master_seed(), states)
@@ -120,12 +143,14 @@ pub fn delta_between<V: Payload + PartialEq>(
 /// the successor snapshot in place — bitwise identical to the sketch
 /// the delta was extracted from.
 ///
-/// Per trial: subsample the base to the delta's (monotone) level, merge
+/// Per trial: subsample the base to the delta's (monotone) level, upsert
 /// the delta entries with the canonical `stored.merge(incoming)`
 /// payload order, and adopt the delta's absolute item counter. The
 /// cumulative-stream argument in the module docs is what makes this
-/// reconstruction exact; the reload path re-validates the sample
-/// invariant, so a delta applied against the wrong base surfaces as
+/// reconstruction exact. Every trial is validated before any is
+/// touched: a delta whose level is below the base's is
+/// [`SketchError::ConfigMismatch`], and one that would overflow capacity
+/// (a delta coded against a different base) is
 /// [`SketchError::InvalidConfig`] rather than a silently wrong sketch.
 ///
 /// A delta also applies exactly on top of any **later** base from the
@@ -135,15 +160,11 @@ pub fn delta_between<V: Payload + PartialEq>(
 /// what lets a referee whose ack was lost keep applying the party's
 /// retransmitted cumulative deltas without rewinding.
 ///
-/// On `Err`, `base` may be partially updated; discard or resync it.
+/// Atomic: on `Err`, `base` is unchanged.
 pub fn apply_delta<V: Payload>(base: &mut GtSketch<V>, delta: &GtSketch<V>) -> Result<()> {
     check_coordinated(base, delta)?;
     let capacity = base.config().capacity();
-    let mut merged: HashMap<u64, V> = HashMap::with_capacity(capacity);
-    let mut scratch: Vec<(u64, V)> = Vec::with_capacity(capacity);
-    for index in 0..base.trials().len() {
-        let b = &base.trials()[index];
-        let d = &delta.trials()[index];
+    for (b, d) in base.trials().iter().zip(delta.trials()) {
         if d.level() < b.level() {
             return Err(SketchError::ConfigMismatch {
                 detail: format!(
@@ -153,35 +174,25 @@ pub fn apply_delta<V: Payload>(base: &mut GtSketch<V>, delta: &GtSketch<V>) -> R
                 ),
             });
         }
-        merged.clear();
-        merged.extend(
-            b.sample_iter()
-                .filter(|&(label, _)| b.hasher().level(label) >= d.level()),
-        );
-        for (label, incoming) in d.sample_iter() {
-            merged
-                .entry(label)
-                .and_modify(|stored| *stored = stored.merge(incoming))
-                .or_insert(incoming);
-        }
-        if merged.len() > capacity {
+        // Delta entries qualify at the delta's level, so one the base
+        // holds survives the subsample and merges; the rest are new.
+        let added = d
+            .sample_iter()
+            .filter(|&(label, _)| !b.contains_label(label))
+            .count();
+        let merged = b.sample_len_at(d.level()) + added;
+        if merged > capacity {
             return Err(SketchError::InvalidConfig {
                 parameter: "sample",
                 reason: format!(
-                    "delta application overflows capacity {capacity} with {} entries \
-                     (delta coded against a different base)",
-                    merged.len()
+                    "delta application overflows capacity {capacity} with {merged} entries \
+                     (delta coded against a different base)"
                 ),
             });
         }
-        scratch.clear();
-        scratch.extend(merged.iter().map(|(&label, &payload)| (label, payload)));
-        base.reload_trial(
-            index,
-            d.level(),
-            d.items_observed(),
-            scratch.iter().copied(),
-        )?;
+    }
+    for (b, d) in base.trials_mut().iter_mut().zip(delta.trials()) {
+        b.apply_delta_trial(d);
     }
     Ok(())
 }
@@ -192,6 +203,7 @@ mod tests {
     use crate::params::SketchConfig;
     use crate::recency::LatestTs;
     use crate::DistinctSketch;
+    use gt_hash::LevelHasher as _;
 
     fn cfg() -> SketchConfig {
         SketchConfig::from_shape(0.2, 0.2, 64, 5, gt_hash::HashFamilyKind::Pairwise).unwrap()
@@ -345,5 +357,173 @@ mod tests {
         let mut fresh = DistinctSketch::new(&config, 23);
         fresh.merge_from(&snap2).unwrap();
         assert_eq!(state(&live), state(&fresh));
+    }
+
+    #[test]
+    fn failed_apply_leaves_the_base_untouched() {
+        // A delta coded on another party's timeline: its first trial
+        // fits the base, a later one overflows capacity. Nothing may
+        // change, not even the first trial's item counter.
+        let config = cfg();
+        let mut base = DistinctSketch::new(&config, 29);
+        base.extend_labels((0..3_000u64).map(gt_hash::fold61));
+        let mut other = DistinctSketch::new(&config, 29);
+        other.extend_labels((50_000..50_100u64).map(gt_hash::fold61));
+        let other_base = other.clone();
+        other.extend_labels((100_000..103_000u64).map(gt_hash::fold61));
+        let foreign = delta_between(&other_base, &other).unwrap();
+        let mut states: Vec<TrialState<()>> = foreign
+            .trials()
+            .iter()
+            .map(|t| (t.level(), t.items_observed(), t.sample_iter().collect()))
+            .collect();
+        states[0] = (
+            base.trials()[0].level().max(states[0].0),
+            states[0].1 + 1,
+            Vec::new(),
+        );
+        let delta = GtSketch::reassemble(&config, 29, states).unwrap();
+
+        let before = base.clone();
+        let err = apply_delta(&mut base, &delta).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                SketchError::InvalidConfig {
+                    parameter: "sample",
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
+        assert_eq!(state(&base), state(&before));
+    }
+
+    /// Payload for label `label` arriving at `time`, per payload kind.
+    trait TimedPayload: Payload + PartialEq + Ord + std::fmt::Debug {
+        fn at(label: u64, time: u64) -> Self;
+    }
+    impl TimedPayload for () {
+        fn at(_: u64, _: u64) -> Self {}
+    }
+    impl TimedPayload for u64 {
+        // Keep-first: a re-arrival carries a different value that the
+        // stored one must win against.
+        fn at(label: u64, time: u64) -> Self {
+            label ^ time
+        }
+    }
+    impl TimedPayload for LatestTs {
+        fn at(_: u64, time: u64) -> Self {
+            LatestTs(time)
+        }
+    }
+
+    /// One party's snapshots after each of `batches` (the first is the
+    /// empty sketch), fed through the payload-merging insert.
+    fn timeline<V: TimedPayload>(seed: u64, batches: &[Vec<u64>]) -> Vec<GtSketch<V>> {
+        let mut s = GtSketch::<V>::new(&cfg(), seed);
+        let mut snaps = vec![s.clone()];
+        let mut time = 0;
+        for batch in batches {
+            for &label in batch {
+                time += 1;
+                s.insert_merging_with(label, V::at(label, time));
+            }
+            snaps.push(s.clone());
+        }
+        snaps
+    }
+
+    /// Drop one base entry from a trial, or swap it for a label the base
+    /// never held that qualifies at the same level: a same-level
+    /// successor that is not a cumulative extension of `base`.
+    fn forge_non_prefix<V: TimedPayload>(base: &GtSketch<V>, swap: bool) -> Option<GtSketch<V>> {
+        let t = base.trials().iter().position(|t| t.sample_len() > 0)?;
+        let trial = &base.trials()[t];
+        let mut states: Vec<TrialState<V>> = base
+            .trials()
+            .iter()
+            .map(|t| (t.level(), t.items_observed(), t.sample_iter().collect()))
+            .collect();
+        states[t].2.pop();
+        if swap {
+            let fresh = (1u64 << 40..)
+                .map(gt_hash::fold61)
+                .find(|&x| trial.hasher().level(x) >= trial.level() && !trial.contains_label(x))?;
+            states[t].2.push((fresh, V::default()));
+        }
+        GtSketch::reassemble(base.config(), base.master_seed(), states).ok()
+    }
+
+    fn check_timeline<V: TimedPayload>(seed: u64, batches: &[Vec<u64>], pick: (usize, usize)) {
+        let snaps = timeline::<V>(seed, batches);
+        let last = snaps.len() - 1;
+        // Base i <= applied j <= current k; i == 0 is the empty base and
+        // j > i the referee that applied a frame whose ack was lost.
+        let k = 1 + pick.0 % last;
+        let i = pick.1 % (k + 1);
+        let j = i + pick.0 / 7 % (k - i + 1);
+        let (base, applied, current) = (&snaps[i], &snaps[j], &snaps[k]);
+
+        let delta = delta_between(base, current).unwrap();
+        let mut rebuilt = applied.clone();
+        apply_delta(&mut rebuilt, &delta).unwrap();
+        assert_eq!(
+            state(&rebuilt),
+            state(current),
+            "apply_delta (i={i} j={j} k={k})"
+        );
+
+        // The referee's union already holds `applied` (after another
+        // party's summary): merging the delta alone must land where
+        // merging the rebuilt snapshot does.
+        let mut other = GtSketch::<V>::new(&cfg(), seed);
+        for (n, &label) in batches.concat().iter().enumerate().step_by(3) {
+            let label = gt_hash::fold61(label.wrapping_mul(3));
+            other.insert_merging_with(label, V::at(label, n as u64));
+        }
+        let mut live = other.clone();
+        live.merge_from(applied).unwrap();
+        let old_items: Vec<u64> = applied
+            .trials()
+            .iter()
+            .map(|t| t.items_observed())
+            .collect();
+        let mut via_next = live.clone();
+        via_next.merge_refresh_from(current, &old_items).unwrap();
+        live.merge_refresh_from(&delta, &old_items).unwrap();
+        assert_eq!(state(&live), state(&via_next), "union (i={i} j={j} k={k})");
+
+        for swap in [false, true] {
+            if let Some(forged) = forge_non_prefix(current, swap) {
+                assert!(
+                    delta_between(current, &forged).is_err(),
+                    "same-level non-prefix accepted (swap={swap})"
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn random_timelines_rebuild_merge_and_reject_like_the_full_path(
+            seed in 0u64..1_000,
+            batches in proptest::collection::vec(
+                proptest::collection::vec(0u64..6_000, 0..400),
+                1..6,
+            ),
+            pick in (0usize..1_000, 0usize..1_000),
+        ) {
+            let batches: Vec<Vec<u64>> = batches
+                .into_iter()
+                .map(|b| b.into_iter().map(gt_hash::fold61).collect())
+                .collect();
+            check_timeline::<()>(seed, &batches, pick);
+            check_timeline::<u64>(seed, &batches, pick);
+            check_timeline::<LatestTs>(seed, &batches, pick);
+        }
     }
 }

@@ -114,6 +114,12 @@ impl<V: Payload> GtSketch<V> {
         &self.trials
     }
 
+    /// Mutable per-trial state, for in-place updates that keep the sample
+    /// invariant themselves ([`crate::apply_delta`]).
+    pub(crate) fn trials_mut(&mut self) -> &mut [CoordinatedTrial<V>] {
+        &mut self.trials
+    }
+
     /// Observe one `(label, payload)` item.
     ///
     /// Labels must lie in `[0, 2^61 − 1)`; fold bigger identifiers through

@@ -269,6 +269,46 @@ impl<V: Payload> CoordinatedTrial<V> {
         self.sample.contains(label)
     }
 
+    /// The payload stored for `label`, if it is in the sample — one probe
+    /// of the sample table.
+    #[inline]
+    pub fn payload_of(&self, label: u64) -> Option<V> {
+        self.sample.get(label)
+    }
+
+    /// How many sampled labels qualify at `level`: the sample size
+    /// [`CoordinatedTrial::subsample_to_level`]`(level)` would leave. At
+    /// or below the current level that is the whole sample and no label
+    /// is hashed.
+    pub fn sample_len_at(&self, level: u8) -> usize {
+        if level <= self.level {
+            return self.sample.len();
+        }
+        self.sample
+            .keys()
+            .filter(|&label| self.hasher.level(label) >= level)
+            .count()
+    }
+
+    /// Apply one trial of a delta in place: subsample to the delta's
+    /// level, upsert its entries in `stored.merge(incoming)` order, and
+    /// adopt its item counter. The caller ([`crate::apply_delta`]) has
+    /// already checked that the level does not fall and the result fits
+    /// capacity, so no insert can find the table full.
+    pub(crate) fn apply_delta_trial(&mut self, delta: &CoordinatedTrial<V>) {
+        self.subsample_to_level(delta.level);
+        for (label, incoming) in delta.sample.iter() {
+            match self.sample.try_insert(label, incoming) {
+                InsertOutcome::Inserted => {}
+                InsertOutcome::AlreadyPresent => {
+                    self.sample.update(label, |v| *v = v.merge(incoming));
+                }
+                InsertOutcome::Full => unreachable!("apply_delta validated capacity first"),
+            }
+        }
+        self.items_observed = delta.items_observed;
+    }
+
     /// The sample as a label-sorted `Vec` of `(label, hash level)` pairs —
     /// the precomputed view the expression engine aligns trials with.
     ///

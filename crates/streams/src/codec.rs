@@ -17,7 +17,7 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use gt_core::{GtSketch, SketchConfig, SketchError};
-use gt_hash::HashFamilyKind;
+use gt_hash::{mix64, HashFamilyKind};
 
 /// Format magic: "GTS" + version 1.
 const MAGIC: u32 = 0x4754_5301;
@@ -80,6 +80,9 @@ pub trait WirePayload: gt_core::Payload + Send + Sync {
     /// [`encode_sketch`] pre-reserve the whole message instead of growing
     /// the buffer entry by entry.
     fn encoded_len(self) -> usize;
+    /// The payload's value as one `u64`, for [`state_digest`]. Distinct
+    /// payloads should map to distinct words.
+    fn digest_bits(self) -> u64;
 }
 
 impl WirePayload for () {
@@ -88,6 +91,9 @@ impl WirePayload for () {
         Ok(())
     }
     fn encoded_len(self) -> usize {
+        0
+    }
+    fn digest_bits(self) -> u64 {
         0
     }
 }
@@ -102,6 +108,9 @@ impl WirePayload for u64 {
     fn encoded_len(self) -> usize {
         varint_len(self)
     }
+    fn digest_bits(self) -> u64 {
+        self
+    }
 }
 
 impl WirePayload for gt_core::LatestTs {
@@ -113,6 +122,9 @@ impl WirePayload for gt_core::LatestTs {
     }
     fn encoded_len(self) -> usize {
         varint_len(self.0)
+    }
+    fn digest_bits(self) -> u64 {
+        self.0
     }
 }
 
@@ -135,6 +147,13 @@ const FRAME_KIND_DELTA: u8 = 1;
 /// [`encode_sketch`] bytes verbatim, magic included, so frames inherit
 /// the codec's validation, canonical-bytes property, and
 /// fingerprinting unchanged.
+///
+/// The base fingerprint is the [`state_digest`] of the base state. A
+/// sender and receiver that disagree on how it is computed (for example
+/// a build that still sends the FNV-1a of the base's canonical bytes)
+/// never match: every delta between them is refused with a resync
+/// request and the party falls back to full frames, so a mixed pair
+/// costs bytes, never a wrong union.
 #[derive(Clone, Debug)]
 pub enum Frame<V> {
     /// A complete snapshot: generation `generation` of the sender's
@@ -151,9 +170,10 @@ pub enum Frame<V> {
         generation: u64,
         /// Generation of the acked base the delta is coded against.
         base_generation: u64,
-        /// [`payload_fingerprint`] of the base's canonical encoding —
-        /// lets the receiver detect that its reconstruction diverged
-        /// before applying anything.
+        /// [`state_digest`] of the base state — lets the receiver detect
+        /// that its reconstruction diverged before applying anything.
+        /// Both sides compute it once per generation in one linear pass
+        /// over the summary, with no encoding or sorting.
         base_fingerprint: u64,
         /// The difference entries ([`gt_core::delta_between`] output).
         delta: GtSketch<V>,
@@ -308,6 +328,37 @@ pub fn payload_fingerprint(payload: &[u8]) -> u64 {
     h
 }
 
+/// Order-independent 64-bit digest of a sketch's state — the delta
+/// plane's base fingerprint ([`Frame::Delta`]).
+///
+/// Each trial contributes its index, level, item counter, sample size
+/// and the wrapping sum of `mix64(label ^ payload bits · φ)` over its
+/// entries (φ odd, so the term is a bijection in either argument),
+/// chained through [`gt_hash::mix64`] in trial order. The sum
+/// makes it independent of the sample table's layout, so two sketches
+/// in the same state digest alike however they were built, and it
+/// costs one pass over the summary with no sorting or encoding. It
+/// detects divergence, not tampering: it is not a cryptographic hash.
+pub fn state_digest<V: WirePayload>(sketch: &GtSketch<V>) -> u64 {
+    const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for (index, trial) in sketch.trials().iter().enumerate() {
+        let entries = trial.sample_iter().fold(0u64, |sum, (label, payload)| {
+            sum.wrapping_add(mix64(label ^ payload.digest_bits().wrapping_mul(GOLDEN)))
+        });
+        for word in [
+            index as u64,
+            u64::from(trial.level()),
+            trial.items_observed(),
+            trial.sample_len() as u64,
+            entries,
+        ] {
+            h = mix64(h ^ word);
+        }
+    }
+    h
+}
+
 fn put_hash_kind(buf: &mut BytesMut, kind: HashFamilyKind) {
     match kind {
         HashFamilyKind::Pairwise => buf.put_u8(0),
@@ -437,6 +488,23 @@ pub fn encoded_sketch_len<V: WirePayload>(sketch: &GtSketch<V>) -> usize {
             total += varint_len(label - prev);
             prev = label;
         }
+        total += trial
+            .sample_iter()
+            .map(|(_, payload)| payload.encoded_len())
+            .sum::<usize>();
+    }
+    total
+}
+
+/// A lower bound on [`encoded_sketch_len`] that needs no sorting: every
+/// label gap costs at least one byte. It lets a sender settle "is this
+/// delta smaller than the full sketch?" without the exact length
+/// whenever the delta is smaller than the bound.
+pub(crate) fn encoded_sketch_len_floor<V: WirePayload>(sketch: &GtSketch<V>) -> usize {
+    let mut total = header_len(sketch.config());
+    for trial in sketch.trials() {
+        let n = trial.sample_len();
+        total += 1 + varint_len(trial.items_observed()) + varint_len(n as u64) + n;
         total += trial
             .sample_iter()
             .map(|(_, payload)| payload.encoded_len())
@@ -1145,7 +1213,7 @@ mod tests {
         }
 
         let d = gt_core::delta_between(&base, &s).unwrap();
-        let base_fp = payload_fingerprint(&encode_sketch(&base));
+        let base_fp = state_digest(&base);
         let bytes = encode_delta_frame(&d, 9, 4, base_fp);
         match decode_frame::<()>(bytes).unwrap() {
             Frame::Delta {
@@ -1252,5 +1320,68 @@ mod tests {
         // Known vectors so the function cannot silently change: FNV-1a.
         assert_eq!(payload_fingerprint(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(payload_fingerprint(b"a"), 0xaf63_dc4c_8601_ec8c);
+    }
+
+    #[test]
+    fn state_digest_tracks_every_state_component() {
+        use gt_core::sketch::TrialState;
+        // Level-0 trials accept any label, so each edit below is a valid
+        // sketch that differs from `base` in exactly one component.
+        let config = SketchConfig::from_shape(0.2, 0.2, 8, 3, HashFamilyKind::Pairwise).unwrap();
+        let digest = |states: Vec<TrialState<u64>>| {
+            state_digest(&GtSketch::<u64>::reassemble(&config, 5, states).unwrap())
+        };
+        let base = vec![
+            (0, 10, vec![(11, 1), (12, 2), (13, 3)]),
+            (0, 20, vec![(21, 4)]),
+            (0, 30, vec![]),
+        ];
+        let d0 = digest(base.clone());
+        let mut edits: Vec<(&str, Vec<TrialState<u64>>)> = Vec::new();
+        let mut e = base.clone();
+        e[0].2.push((14, 0));
+        edits.push(("add a label", e));
+        let mut e = base.clone();
+        e[0].2.pop();
+        edits.push(("remove a label", e));
+        let mut e = base.clone();
+        e[1].2[0].1 = 5;
+        edits.push(("change a payload", e));
+        let mut e = base.clone();
+        e[2].0 = 1;
+        edits.push(("change a level", e));
+        let mut e = base.clone();
+        e[1].1 += 1;
+        edits.push(("change items_observed", e));
+        let mut e = base.clone();
+        let moved = e[0].2.remove(0);
+        e[1].2.push(moved);
+        edits.push(("move an entry to another trial", e));
+        for (what, states) in edits {
+            assert_ne!(digest(states), d0, "{what} left the digest unchanged");
+        }
+
+        // Entry order (and so the sample table's layout) does not matter.
+        let mut shuffled = base;
+        shuffled[0].2.reverse();
+        assert_eq!(digest(shuffled), d0);
+        let mut a = DistinctSketch::new(&cfg(), 3);
+        a.extend_labels((0..2_000).map(gt_hash::fold61));
+        let mut b = DistinctSketch::new(&cfg(), 3);
+        b.extend_labels((0..2_000).rev().map(gt_hash::fold61));
+        assert_eq!(state_digest(&a), state_digest(&b));
+    }
+
+    #[test]
+    fn length_floor_never_exceeds_the_encoding() {
+        let mut s = DistinctSketch::new(&cfg(), 8);
+        assert!(encoded_sketch_len_floor(&s) == encode_sketch(&s).len());
+        s.extend_labels((0..30_000).map(gt_hash::fold61));
+        assert!(encoded_sketch_len_floor(&s) <= encode_sketch(&s).len());
+        let mut w = SumDistinctSketch::new(&cfg(), 8);
+        for x in 0..5_000u64 {
+            w.insert(gt_hash::fold61(x), x * 1_000);
+        }
+        assert!(encoded_sketch_len_floor(w.inner()) <= encode_sketch(w.inner()).len());
     }
 }

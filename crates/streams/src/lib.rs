@@ -53,8 +53,8 @@ pub mod workload;
 
 pub use codec::{
     decode_frame, decode_sketch, decode_sketch_into, encode_delta_frame, encode_full_frame,
-    encode_sketch, encoded_sketch_len, payload_fingerprint, varint_len, CodecError, DecodeScratch,
-    Frame, WirePayload,
+    encode_sketch, encoded_sketch_len, payload_fingerprint, state_digest, varint_len, CodecError,
+    DecodeScratch, Frame, WirePayload,
 };
 pub use collector::{collect_once, CollectionReport, Collector, PartyAttempts, RetryPolicy};
 pub use netflow::{FlowRecord, FlowWorkload};

@@ -14,7 +14,8 @@ use bytes::Bytes;
 use gt_core::{delta_between, DistinctSketch, GtSketch, SketchConfig};
 
 use crate::codec::{
-    encode_delta_frame, encode_full_frame, encode_sketch, payload_fingerprint, WirePayload,
+    encode_delta_frame, encode_full_frame, encode_sketch, encoded_sketch_len,
+    encoded_sketch_len_floor, state_digest, varint_len, WirePayload,
 };
 
 /// A finalized party transmission: everything a party ever sends.
@@ -143,7 +144,7 @@ pub struct DeltaParty<V: WirePayload> {
     id: usize,
     sketch: GtSketch<V>,
     generation: u64,
-    /// Last acked snapshot: (generation, state, canonical fingerprint).
+    /// Last acked snapshot: (generation, state, [`state_digest`]).
     acked: Option<(u64, GtSketch<V>, u64)>,
     /// Emitted, unacked snapshots, oldest first.
     pending: VecDeque<(u64, GtSketch<V>)>,
@@ -220,11 +221,13 @@ impl<V: WirePayload + PartialEq> DeltaParty<V> {
         let delta_payload = self.acked.as_ref().and_then(|(base_gen, base, base_fp)| {
             let delta = delta_between(base, &self.sketch).ok()?;
             let frame = encode_delta_frame(&delta, generation, *base_gen, *base_fp);
-            let full_len = 4
-                + 1
-                + crate::codec::varint_len(generation)
-                + crate::codec::encoded_sketch_len(&self.sketch);
-            (frame.len() < full_len).then_some(frame)
+            // Same header as the delta frame up to the generation; the
+            // sort-free floor settles the usual case, the exact length
+            // the close ones.
+            let full_len = |body: usize| 4 + 1 + varint_len(generation) + body;
+            let smaller = frame.len() < full_len(encoded_sketch_len_floor(&self.sketch))
+                || frame.len() < full_len(encoded_sketch_len(&self.sketch));
+            smaller.then_some(frame)
         });
         let payload = match delta_payload {
             Some(frame) => {
@@ -267,7 +270,7 @@ impl<V: WirePayload + PartialEq> DeltaParty<V> {
         };
         let (gen, snap) = self.pending.remove(pos).expect("position just found");
         self.pending.retain(|&(g, _)| g > gen);
-        let fp = payload_fingerprint(&encode_sketch(&snap));
+        let fp = state_digest(&snap);
         self.acked = Some((gen, snap, fp));
     }
 

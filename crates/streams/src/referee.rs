@@ -36,8 +36,8 @@ use gt_core::{
 };
 
 use crate::codec::{
-    decode_frame, decode_sketch, decode_sketch_into, encode_sketch, payload_fingerprint,
-    CodecError, DecodeScratch, Frame, WirePayload,
+    decode_frame, decode_sketch, decode_sketch_into, payload_fingerprint, state_digest, CodecError,
+    DecodeScratch, Frame, WirePayload,
 };
 use crate::party::PartyMessage;
 
@@ -194,7 +194,7 @@ struct PartyDeltaState {
     /// Cumulative items the party last reported, for exactly-once
     /// `items_reported` accounting across refreshing frames.
     items: u64,
-    /// `(generation, canonical-bytes fingerprint)` of recently applied
+    /// `(generation, [`state_digest`])` of recently applied
     /// states, newest last — the base-validation window for incoming
     /// delta frames (bounded by [`MAX_FP_HISTORY`]).
     history: Vec<(u64, u64)>,
@@ -481,7 +481,7 @@ impl<V: WirePayload> RefereeOf<V> {
                     self.telemetry.record_reject(&e);
                     return Err(e);
                 }
-                let state_fp = payload_fingerprint(&encode_sketch(&sketch));
+                let state_fp = state_digest(&sketch);
                 self.party_sketches.insert(msg.party_id, sketch);
                 let state = self.delta_state.entry(msg.party_id).or_default();
                 state.watermark = generation;
@@ -510,25 +510,29 @@ impl<V: WirePayload> RefereeOf<V> {
                 }
                 let current = self
                     .party_sketches
-                    .get(&msg.party_id)
+                    .get_mut(&msg.party_id)
                     .expect("a validated delta base implies a retained party sketch");
                 let old_items: Vec<u64> = current
                     .trials()
                     .iter()
                     .map(|t| t.items_observed())
                     .collect();
-                let mut next = current.clone();
                 let merge_start = Instant::now();
-                let applied = apply_delta(&mut next, &delta)
-                    .and_then(|()| self.union.merge_refresh_from(&next, &old_items));
+                // `apply_delta` leaves the retained sketch untouched on
+                // `Err`, and it checks every coordination condition the
+                // union merge does, so once it succeeds the merge cannot
+                // fail. The union already holds the base, so the delta
+                // alone adds what the rebuilt snapshot would: the GT union
+                // depends only on the label set and the max level.
+                let applied = apply_delta(current, &delta)
+                    .and_then(|()| self.union.merge_refresh_from(&delta, &old_items));
                 self.telemetry.merge_time += merge_start.elapsed();
                 if let Err(e) = applied {
                     let e = CodecError::from(e);
                     self.telemetry.record_reject(&e);
                     return Err(e);
                 }
-                let state_fp = payload_fingerprint(&encode_sketch(&next));
-                self.party_sketches.insert(msg.party_id, next);
+                let state_fp = state_digest(current);
                 let state = self
                     .delta_state
                     .get_mut(&msg.party_id)
